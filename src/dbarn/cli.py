@@ -44,7 +44,7 @@ class RunConfig:
     boundary_refine_depth: int = 8
     xi_min: float = 0.1
     xi_max: float = 10.0
-    points: int = 25
+    points: int | None = None
     eps_min: float = 2.0**-10
     eps_max: float = 2.0**-3
     delta: float = 0.5
@@ -77,7 +77,7 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _load_form(config: RunConfig) -> forms.FormPoly:
+def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPoly:
     if not config.input:
         raise SystemExit("error: this subcommand needs --f/--input pointing at a "
                          "form file (see README for the format)")
@@ -85,6 +85,10 @@ def _load_form(config: RunConfig) -> forms.FormPoly:
     if phi.n != 1 or phi.q != 1:
         raise SystemExit("error: disc experiments expect a (0,1)-form in one "
                          "complex variable")
+    degree = phi.component((1,)).degree()
+    if max_degree is not None and degree > max_degree:
+        raise SystemExit(f"error: the input form has degree {degree}; {config.subcommand} "
+                         f"at --d {config.d} takes forms of degree at most {max_degree}")
     return phi
 
 
@@ -121,8 +125,8 @@ def _cmd_identities(config: RunConfig) -> int:
 def _cmd_ellipticity(config: RunConfig) -> int:
     s = config.s if config.s is not None else 2
     _check_cap("--s", s, "s_ellipticity")
-    grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max),
-                       config.points)
+    points = config.points if config.points is not None else 25
+    grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max), points)
     report = ellipticity.certify_trivial_kernel(s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
              "pass": smp.passed} for smp in report.samples]
@@ -205,12 +209,8 @@ def _cmd_canonical(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
-    phi = _load_form(config)
+    phi = _load_form(config, max_degree=config.d - 1)
     cx = neumann.DiscreteComplex.build(config.d, s)
-    comp = phi.component((1,))
-    if comp.degree() > config.d - 1:
-        print(f"warning: input degree {comp.degree()} exceeds d-1 = "
-              f"{config.d - 1}; the truncated solve is not exact", file=sys.stderr)
     sol = neumann.canonical_solve_dbar(phi, cx=cx)
     rows = _form_rows(cx.basis, sol.coeffs)
     payload = {
@@ -227,7 +227,7 @@ def _cmd_neumann(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
-    phi = _load_form(config)
+    phi = _load_form(config, max_degree=config.d - 1)
     cx = neumann.DiscreteComplex.build(config.d, s)
     sol = neumann.neumann_solve(phi, cx=cx)
     rows = _form_rows(cx.form_basis, sol.coeffs)
@@ -246,7 +246,7 @@ def _cmd_hodge(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
-    phi = _load_form(config)
+    phi = _load_form(config, max_degree=config.d)
     cx = neumann.DiscreteComplex.build(config.d, s)
     f1, f2 = neumann.hodge_decompose(phi, cx=cx)
     n1, n2 = cx.gram.norm(f1), cx.gram.norm(f2)
@@ -296,7 +296,7 @@ def _cmd_blowup(config: RunConfig) -> int:
         raise SystemExit("error: --s must be 1 or 2 for the blow-up experiment")
     if not 2.0**-12 <= config.eps_min <= config.eps_max <= 2.0**-3:
         raise SystemExit("error: eps range must lie inside [2^-12, 2^-3]")
-    count = config.points if config.points != 25 else 8
+    count = config.points if config.points is not None else 8
     eps_list = list(np.geomspace(config.eps_max, config.eps_min, count))
     rep = neumann.blowup_experiment(s, eps_list, delta=config.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}

@@ -45,31 +45,15 @@ from .multiindex import enumerate_up_to, gamma
 from .sobolev import (
     MonomialBasis,
     SobolevGram,
-    _GRAM_CACHE,
     assemble_gram,
+    charge_exponents,
+    gram_block,
     inner_s_exact,
+    leading_subgram,
 )
 
 MAX_NEUMANN_S = 2
 MAX_NEUMANN_D = 40
-
-
-def form_subgram(gram: SobolevGram) -> SobolevGram:
-    """Gram of the degree-(d-1) prefix, sliced from the degree-d matrix.
-
-    The basis ordering is degree graded, so the leading principal block of
-    the degree-d Gram is exactly the degree-(d-1) Gram; slicing avoids a
-    second exact assembly and seeds the cache.
-    """
-    if gram.basis.degree == 0:
-        raise ValueError("cannot slice below degree 0")
-    sub_basis = MonomialBasis(gram.basis.degree - 1)
-    key = (sub_basis.degree, gram.s)
-    if key not in _GRAM_CACHE:
-        sub = SobolevGram(s=gram.s, basis=sub_basis,
-                          matrix=gram.matrix[: sub_basis.dim, : sub_basis.dim].copy())
-        _GRAM_CACHE[key] = sub
-    return _GRAM_CACHE[key]
 
 
 @dataclass
@@ -92,7 +76,7 @@ class DiscreteComplex:
             raise ValueError(f"basis degree must lie in 1..{MAX_NEUMANN_D}")
         basis = MonomialBasis(d)
         gram = assemble_gram(basis, s)
-        form_gram = form_subgram(gram)
+        form_gram = leading_subgram(gram, d - 1)
         form_basis = form_gram.basis
         mat = np.zeros((form_basis.dim, basis.dim))
         for j, (a, b) in enumerate(basis.exponents):
@@ -264,29 +248,8 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 # positive definite.  dbar shifts charge by +1, so the whole Neumann solve
 # factors over charges into blocks of size <= (d+2)/2, small enough to solve
 # in exact rational arithmetic.  The routines below carry out the solve and
-# the positivity certification that way; only final scalars become floats.
-
-
-def _charge_exponents(charge: int, max_degree: int) -> list[tuple[int, int]]:
-    out = []
-    b = max(0, -charge)
-    while 2 * b + charge <= max_degree:
-        out.append((b + charge, b))
-        b += 1
-    return out
-
-
-def _exact_gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
-    monos = [CPolynomial.monomial(1, (a,), (b,)) for a, b in exps]
-    n = len(monos)
-    block = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = inner_s_exact(monos[i], monos[j], s)
-            if val.im != 0:
-                raise AssertionError("same-charge Gram entry must be real")
-            block[i][j] = block[j][i] = val.re
-    return block
+# the positivity certification that way, on the closed-form blocks of
+# ``sobolev.gram_block``; only final scalars become floats.
 
 
 def _fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
@@ -330,10 +293,10 @@ def _fraction_ldl_pivots(mat: list[list[Fraction]]) -> list[Fraction]:
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
     """Certify positive definiteness of the degree-d W^s Gram, exactly."""
     for charge in range(-d, d + 1):
-        exps = _charge_exponents(charge, d)
+        exps = charge_exponents(charge, d)
         if not exps:
             continue
-        block = _exact_gram_block(exps, s)
+        block = gram_block(exps, s)
         if any(p <= 0 for p in _fraction_ldl_pivots(block)):
             return False
     return True
@@ -350,18 +313,18 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
         raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
     best = Fraction(0)
     for charge in range(-(d - 1), d):
-        form_exps = _charge_exponents(charge, d - 1)
+        form_exps = charge_exponents(charge, d - 1)
         if not form_exps:
             continue
-        func_exps = _charge_exponents(charge - 1, d)
+        func_exps = charge_exponents(charge - 1, d)
         form_index = {e: i for i, e in enumerate(form_exps)}
         nf, nu = len(form_exps), len(func_exps)
         a_mat = [[Fraction(0)] * nu for _ in range(nf)]
         for j, (a, b) in enumerate(func_exps):
             if b:
                 a_mat[form_index[(a, b - 1)]][j] = Fraction(b)
-        g_func = _exact_gram_block(func_exps, s)
-        g_form = _exact_gram_block(form_exps, s)
+        g_func = gram_block(func_exps, s)
+        g_form = gram_block(form_exps, s)
         # X = G_func^-1 A^T ; M = A X ; Y = M^-1 ; W = G_form^-1 Y
         a_t = [[a_mat[i][j] for i in range(nf)] for j in range(nu)]
         x = _fraction_solve(g_func, a_t)

@@ -14,9 +14,18 @@ rational multiple of pi:
 Everything is computed in exact rational arithmetic first (the pi factor kept
 symbolic) and converted to floats only when a Gram matrix is materialized.
 The gamma weights make the inner product rotation invariant, so monomials
-with different charge a - b are orthogonal; assembly exploits that by
-visiting same-charge pairs only (the tests probe cross-charge pairs
-separately).
+with different charge a - b are orthogonal and the Gram matrix splits into
+charge blocks.  The order-k weighted derivative sum collapses to
+2^k sum_i C(k,i) d^i dbar^(k-i) f conj(d^i dbar^(k-i) g), which puts every
+same-charge entry in closed form:
+
+    <z^a zbar^b, z^c zbar^d>_s / pi
+        = sum_{k<=s} 2^k * 2/(a+b+c+d-2k+2) * sum_i C(k,i) (a)_i (c)_i (b)_{k-i} (d)_{k-i}
+
+with (x)_i the falling factorial.  ``gram_block`` evaluates it as exact
+Fractions; the dense float Gram and the exact per-charge solvers both read
+their entries from it.  The symbolic ``inner_s_exact`` (derivatives of
+polynomials, then disc integrals) stays as the independent oracle.
 """
 
 from __future__ import annotations
@@ -64,23 +73,6 @@ class MonomialBasis:
         if d > self.degree or a < 0 or b < 0:
             raise ValueError(f"monomial z^{a} zbar^{b} outside basis of degree {self.degree}")
         return d * (d + 1) // 2 + b
-
-    def monomial(self, i: int) -> CPolynomial:
-        a, b = self.exponents[i]
-        return CPolynomial.monomial(1, (a,), (b,))
-
-    def to_polynomial(self, coeffs: np.ndarray) -> CPolynomial:
-        """Assemble a float-coefficient polynomial; small coefficients dropped."""
-        out = CPolynomial.zero(1)
-        for i, c in enumerate(coeffs):
-            c = complex(c)
-            if abs(c) < 1e-300:
-                continue
-            a, b = self.exponents[i]
-            out = out + CPolynomial.monomial(
-                1, (a,), (b,), CRational.of(Fraction(c.real), Fraction(c.imag))
-            )
-        return out
 
     def coefficients_of(self, p: CPolynomial) -> np.ndarray:
         if p.n != 1:
@@ -157,8 +149,8 @@ class SobolevGram:
     """Dense Gram matrix of <. , .>_s on a monomial basis, with Cholesky cache.
 
     Entries are exact rational multiples of pi converted once to float64;
-    they are provably real (the inner product is invariant under conjugation
-    of the domain), which assembly asserts.
+    they are real (the inner product is invariant under conjugation of the
+    domain), as the closed-form charge blocks make explicit.
     """
 
     s: int
@@ -204,23 +196,45 @@ class SobolevGram:
                                      repr(float(self.matrix[i, j]))])
 
 
-def _entry_exact(i: int, j: int,
-                 diffs: dict[tuple[int, tuple[int, int]], CPolynomial],
-                 alphas: list) -> Fraction:
-    total = QC_ZERO
-    for alpha in alphas:
-        di = diffs[(i, alpha.exponents)]
-        dj = diffs[(j, alpha.exponents)]
-        if di.is_zero() or dj.is_zero():
-            continue
-        total = total + pair_L2_exact(di, dj).scale(gamma(alpha))
-    if total.im != 0:
-        raise AssertionError("Sobolev Gram entry has nonzero imaginary part")
-    return total.re
+def charge_exponents(charge: int, max_degree: int) -> list[tuple[int, int]]:
+    """Exponents (a, b) with a - b == charge and a + b <= max_degree, in basis order."""
+    out = []
+    b = max(0, -charge)
+    while 2 * b + charge <= max_degree:
+        out.append((b + charge, b))
+        b += 1
+    return out
+
+
+def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
+    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, closed form."""
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    if len({a - b for a, b in exps}) > 1:
+        raise ValueError("gram_block needs exponents of a single charge")
+    weights = [[2**k * math.comb(k, i) for i in range(k + 1)] for k in range(s + 1)]
+    perm = math.perm  # falling factorial; 0 when the derivative kills the monomial
+    n = len(exps)
+    block = [[Fraction(0)] * n for _ in range(n)]
+    for i, (a, b) in enumerate(exps):
+        for j in range(i, n):
+            c, d = exps[j]
+            total = Fraction(0)
+            for k, row in enumerate(weights):
+                num = sum(w * perm(a, t) * perm(c, t) * perm(b, k - t) * perm(d, k - t)
+                          for t, w in enumerate(row))
+                if num:
+                    total += Fraction(2 * num, a + b + c + d - 2 * k + 2)
+            block[i][j] = block[j][i] = total
+    return block
 
 
 def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
-    """Exact Gram matrix of <. , .>_s on the basis, cached per (degree, s)."""
+    """Gram matrix of <. , .>_s on the basis, cached per (degree, s).
+
+    Each charge block comes exact from ``gram_block`` and is scattered into
+    the dense matrix as float(entry) * pi; cross-charge entries are zero.
+    """
     if s < 0 or s > MAX_S:
         raise ValueError(f"s must lie in 0..{MAX_S}")
     if basis.dim > MAX_DIM:
@@ -230,25 +244,12 @@ def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
     if cached is not None:
         return cached
 
-    alphas = enumerate_up_to(s, 2)
-    diffs: dict[tuple[int, tuple[int, int]], CPolynomial] = {}
-    for i in range(basis.dim):
-        mono = basis.monomial(i)
-        for alpha in alphas:
-            diffs[(i, alpha.exponents)] = mono.diff_multi(alpha.exponents)
-
-    charge_classes: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(basis.exponents):
-        charge_classes.setdefault(a - b, []).append(i)
-
     mat = np.zeros((basis.dim, basis.dim), dtype=float)
-    for members in charge_classes.values():
-        for ii, i in enumerate(members):
-            for j in members[ii:]:
-                val = _entry_exact(i, j, diffs, alphas)
-                fval = float(val) * math.pi
-                mat[i, j] = fval
-                mat[j, i] = fval
+    for charge in range(-basis.degree, basis.degree + 1):
+        exps = charge_exponents(charge, basis.degree)
+        idx = [basis.index_of(a, b) for a, b in exps]
+        block = [[float(x) * math.pi for x in row] for row in gram_block(exps, s)]
+        mat[np.ix_(idx, idx)] = block
 
     # Cholesky is computed lazily: the monomial basis carries Hilbert-type
     # charge blocks whose float64 factorization breaks down around degree 25;
@@ -257,3 +258,21 @@ def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
     gram = SobolevGram(s=s, basis=basis, matrix=mat)
     _GRAM_CACHE[key] = gram
     return gram
+
+
+def leading_subgram(gram: SobolevGram, degree: int) -> SobolevGram:
+    """Gram of the degree-``degree`` prefix, sliced from a larger Gram.
+
+    The basis ordering is degree graded, so the leading principal block of
+    the degree-d Gram is exactly the Gram of any lower degree; slicing avoids
+    a second assembly and seeds the cache.
+    """
+    if not 0 <= degree <= gram.basis.degree:
+        raise ValueError(f"degree must lie in 0..{gram.basis.degree}")
+    key = (degree, gram.s)
+    if key not in _GRAM_CACHE:
+        sub_basis = MonomialBasis(degree)
+        _GRAM_CACHE[key] = SobolevGram(
+            s=gram.s, basis=sub_basis,
+            matrix=gram.matrix[: sub_basis.dim, : sub_basis.dim].copy())
+    return _GRAM_CACHE[key]

@@ -59,6 +59,19 @@ def test_neumann_and_hodge_subcommands(tmp_path, form_file):
     assert main(["hodge", "--s", "1", "--d", "10", "--f", str(form_file)]) == 0
 
 
+@pytest.mark.parametrize("subcommand,degree", [("canonical", 4), ("neumann", 4),
+                                               ("hodge", 5)])
+def test_over_degree_form_is_a_clean_error(tmp_path, subcommand, degree):
+    # at --d 4 the form basis stops at degree 3 (canonical, neumann) or 4 (hodge)
+    phi = FormPoly(1, 1, {(1,): CPolynomial.monomial(1, (degree,), (0,))})
+    path = tmp_path / "high.form"
+    path.write_text(form_to_text(phi))
+    with pytest.raises(SystemExit) as err:
+        main([subcommand, "--d", "4", "--f", str(path)])
+    assert str(err.value).startswith("error:")
+    assert f"degree {degree}" in str(err.value)
+
+
 def test_greens_subcommand(tmp_path):
     out = tmp_path / "greens.json"
     code = main(["greens", "--s", "2", "--trials", "5", "--out", str(out)])
@@ -81,6 +94,11 @@ def test_blowup_subcommand(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert -0.35 <= payload["slope"]["value"] <= -0.15
+    assert len(payload["rows"]) == 8
+    code = main(["blowup", "--s", "1", "--eps-min", "0.00390625",
+                 "--eps-max", "0.125", "--points", "25", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["rows"]) == 25
 
 
 def test_config_file_flags_win(tmp_path):

@@ -1,18 +1,26 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbarn
 from dbarn.forms import CPolynomial, random_cpolynomial
 from dbarn.sobolev import (
     MonomialBasis,
     assemble_gram,
+    charge_exponents,
+    gram_block,
     inner_monomial_L2,
     inner_s_direct,
     inner_s_exact,
     inner_s_recursive,
     inner_s_recursive_exact,
+    leading_subgram,
     pair_L2_exact,
 )
 
@@ -138,3 +146,60 @@ def test_gram_csv_export(tmp_path):
     assert lines[0] == "i,j,a_i,b_i,a_j,b_j,value"
     assert len(lines) == 1 + gram.dim**2
     assert float(lines[1].split(",")[-1]) == gram.matrix[0, 0]
+
+
+def test_gram_block_matches_symbolic_oracle():
+    # every same-charge pair with exponents <= 6, bit for bit against the
+    # derivative-then-integrate evaluation
+    for charge in range(-6, 7):
+        exps = [(b + charge, b) for b in range(7) if 0 <= b + charge <= 6]
+        monos = [CPolynomial.monomial(1, (a,), (b,)) for a, b in exps]
+        for s in range(5):
+            block = gram_block(exps, s)
+            for i, p in enumerate(monos):
+                for j, q in enumerate(monos):
+                    oracle = inner_s_exact(p, q, s)
+                    assert oracle.im == 0
+                    assert block[i][j] == oracle.re, (exps[i], exps[j], s)
+
+
+def test_gram_block_rejects_mixed_charges():
+    with pytest.raises(ValueError, match="single charge"):
+        gram_block([(1, 0), (0, 1)], 1)
+
+
+def test_charge_exponents_follow_basis_order():
+    basis = MonomialBasis(7)
+    for charge in range(-7, 8):
+        exps = charge_exponents(charge, basis.degree)
+        assert exps == [e for e in basis.exponents if e[0] - e[1] == charge]
+    assert charge_exponents(8, 7) == []
+
+
+def test_leading_subgram_is_the_lower_degree_gram():
+    sub = leading_subgram(assemble_gram(MonomialBasis(9), 2), 6)
+    assert sub.basis == MonomialBasis(6)
+    expected = np.zeros((sub.dim, sub.dim))
+    for charge in range(-6, 7):
+        exps = charge_exponents(charge, 6)
+        idx = [sub.basis.index_of(a, b) for a, b in exps]
+        expected[np.ix_(idx, idx)] = [[float(x) * math.pi for x in row]
+                                      for row in gram_block(exps, 2)]
+    assert np.array_equal(sub.matrix, expected)
+    with pytest.raises(ValueError, match="0..9"):
+        leading_subgram(assemble_gram(MonomialBasis(9), 2), 10)
+
+
+def test_complex_build_seeds_form_gram_cache():
+    # a fresh interpreter, so that no other test has cached the degree-6 Gram
+    code = ("from dbarn.neumann import DiscreteComplex\n"
+            "from dbarn.sobolev import MonomialBasis, assemble_gram\n"
+            "cx = DiscreteComplex.build(7, 1)\n"
+            "assert assemble_gram(MonomialBasis(6), 1) is cx.form_gram\n"
+            "assert DiscreteComplex.build(7, 1).form_gram is cx.form_gram\n")
+    src_dir = str(Path(dbarn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
