@@ -63,9 +63,7 @@ from .geometry import (
     ws_norm_sampled,
 )
 from .ellipticity import (
-    BoundarySymbol,
     LopatinskiReport,
-    ModelProblem,
     certify_trivial_kernel,
     lopatinski_matrix,
     quadratic_form,
@@ -78,10 +76,8 @@ from .bvp import (
     DiscKOperator,
     Interval1DProblem,
     apply_Gs_s1,
-    apply_K_s1,
     bessel_i_series,
     characteristic_roots,
-    derive_boundary_data_s1,
     manufactured_interval_problem,
     solve_interval,
     solve_interval_fd,

@@ -398,6 +398,3 @@ def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
         raise ValueError(f"criterion number must lie in 1..{len(CRITERIA)}")
     return CRITERIA[number - 1](seed)
 
-
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    return [fn(seed) for fn in CRITERIA]

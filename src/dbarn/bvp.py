@@ -171,11 +171,6 @@ def solve_interval(problem: Interval1DProblem) -> IntervalSolution:
     return IntervalSolution(problem, roots, coeffs, cond, resid)
 
 
-def _one_sided_row(x: np.ndarray, nodes: np.ndarray, x0: float, order: int) -> np.ndarray:
-    w = fd_weights(x[nodes], x0, order)[order]
-    return w
-
-
 def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Second-order finite-difference solve on n+1 uniform nodes.
 
@@ -209,7 +204,7 @@ def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, n
                 count = t + 2
                 nodes = (np.arange(count) if endpoint == 0
                          else np.arange(n - count + 1, n + 1))
-                w = _one_sided_row(x, nodes, x0, t) * (sign**t)
+                w = fd_weights(x[nodes], x0, t)[t] * (sign**t)
                 for node, wv in zip(nodes, w):
                     acc[node] = acc.get(node, 0.0) + c * wv
             for node, wv in acc.items():
@@ -300,47 +295,43 @@ class DiscKOperator:
 
     Solves omega - Lap(omega) = 0 with Neumann datum N(omega) = data per
     angular Fourier mode; unit-response radial profiles are cached per |m|.
+    The 3-point stencils do not depend on m, so the banded radial operator
+    is built once and each mode only adds its diagonal term -m^2/r^2 - 1.
     """
 
     geom: DiscGeometry
     mode_max: int | None = None
-    _profiles: dict[int, np.ndarray] = field(default_factory=dict)
+    _band: np.ndarray = field(init=False, repr=False)
+    _profiles: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode_max is None:
             self.mode_max = self.geom.n_theta // 2
+        # Banded storage for (l, u) = (2, 2): entry (i, j) sits at [2 + i - j, j].
+        # Interior rows carry omega'' + omega' / r; the last row is the Neumann
+        # datum at r = 1; the row at r = 0 depends on the mode.
+        r = self.geom.r
+        n = len(r)
+        band = np.zeros((5, n))
+        for i in range(1, n - 1):
+            w = fd_weights(r[i - 1:i + 2], r[i], 2)
+            band[[3, 2, 1], [i - 1, i, i + 1]] = w[2] + w[1] / r[i]
+        band[[4, 3, 2], [n - 3, n - 2, n - 1]] = fd_weights(r[n - 3:], 1.0, 1)[1]
+        self._band = band
 
     # -- radial mode solves -----------------------------------------------------
 
-    def _mode_matrix(self, m: int) -> tuple[np.ndarray, int, int]:
+    def _mode_matrix(self, m: int) -> np.ndarray:
         r = self.geom.r
-        n = len(r)
-        ab = np.zeros((5, n))  # banded storage for (l, u) = (2, 2)
-
-        def put(i: int, j: int, v: float) -> None:
-            ab[2 + i - j, j] += v
-
-        for i in range(1, n - 1):
-            sel = np.array([i - 1, i, i + 1])
-            w2 = fd_weights(r[sel], r[i], 2)[2]
-            w1 = fd_weights(r[sel], r[i], 1)[1]
-            for j, (a2, a1) in zip(sel, zip(w2, w1)):
-                put(i, j, a2 + a1 / r[i])
-            put(i, i, -(m * m) / (r[i] * r[i]) - 1.0)
+        ab = self._band.copy()
+        ab[2, 1:-1] += -(m * m) / (r[1:-1] * r[1:-1]) - 1.0
         if m == 0:
             # Lap at the origin of a radial mode: 2 * omega'' - omega = 0
-            sel = np.array([0, 1, 2])
-            w2 = fd_weights(r[sel], 0.0, 2)[2]
-            for j, a2 in zip(sel, w2):
-                put(0, j, 2.0 * a2)
-            put(0, 0, -1.0)
+            ab[[2, 1, 0], [0, 1, 2]] = 2.0 * fd_weights(r[:3], 0.0, 2)[2]
+            ab[2, 0] -= 1.0
         else:
-            put(0, 0, 1.0)
-        sel = np.array([n - 3, n - 2, n - 1])
-        w1 = fd_weights(r[sel], 1.0, 1)[1]
-        for j, a1 in zip(sel, w1):
-            put(n - 1, j, a1)
-        return ab, 2, 2
+            ab[2, 0] = 1.0
+        return ab
 
     def unit_profile(self, m: int) -> np.ndarray:
         """Radial solution with Neumann datum 1 for angular wavenumber m."""
@@ -349,10 +340,9 @@ class DiscKOperator:
             raise ValueError(f"mode {m} beyond the truncation {self.mode_max}")
         prof = self._profiles.get(m)
         if prof is None:
-            ab, l, u = self._mode_matrix(m)
             rhs = np.zeros(self.geom.n_r)
             rhs[-1] = 1.0
-            prof = scipy.linalg.solve_banded((l, u), ab, rhs)
+            prof = scipy.linalg.solve_banded((2, 2), self._mode_matrix(m), rhs)
             self._profiles[m] = prof
         return prof
 
@@ -409,24 +399,6 @@ class DiscKOperator:
         if isinstance(psi, CPolynomial):
             psi = SampledField.from_polynomial(self.geom, psi)
         return self.solve_with_boundary_data(self.boundary_data(psi))
-
-
-def derive_boundary_data_s1(psi: SampledField, geom: DiscGeometry | None = None
-                            ) -> np.ndarray:
-    """Order-2 boundary data of the adjoint correction for s = 1."""
-    return DiscKOperator(geom or psi.geom).boundary_data(psi)
-
-
-def apply_K_s1(psi: SampledField | CPolynomial,
-               geom: DiscGeometry | None = None,
-               mode_max: int | None = None) -> SampledField:
-    """One-shot K psi for s = 1; build a DiscKOperator directly to reuse the
-    per-mode factorizations across calls."""
-    if geom is None:
-        if isinstance(psi, CPolynomial):
-            raise ValueError("polynomial input needs an explicit geometry")
-        geom = psi.geom
-    return DiscKOperator(geom, mode_max=mode_max).apply(psi)
 
 
 def dbar_component_sampled(u: SampledField) -> SampledField:

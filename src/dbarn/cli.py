@@ -2,9 +2,9 @@
 
 Subcommands: identities | ellipticity | bvp1d | kop | canonical | neumann |
 hodge | greens | blowup | verify-all.  A plain-text config file (key = value)
-can pre-set any flag; explicit flags win.  Every run records its seed and
-every emitted check carries its tolerance next to the value.  The exit code
-is 0 exactly when all internal checks pass.
+can pre-set any flag of the chosen subcommand; explicit flags win.  Every run
+records its seed and every emitted check carries its tolerance next to the
+value.  The exit code is 0 exactly when all internal checks pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     s: int | None = None
     d: int = 12
-    radial_nodes: int = 600
+    radial_nodes: int = 1200
     angular_nodes: int = 128
     boundary_refine_depth: int = 8
     xi_min: float = 0.1
@@ -64,9 +64,21 @@ def _check_cap(name: str, value: int, cap_key: str) -> None:
                          f"range {lo}..{hi}")
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise SystemExit(f"error: {name}={value} must be at least {minimum}")
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"error: cannot read {what} {path}: {exc}") from None
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,7 +93,11 @@ def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPo
     if not config.input:
         raise SystemExit("error: this subcommand needs --f/--input pointing at a "
                          "form file (see README for the format)")
-    phi = forms.form_from_text(Path(config.input).read_text())
+    text = _read_text(config.input, "form file")
+    try:
+        phi = forms.form_from_text(text)
+    except (ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
+        raise SystemExit(f"error: {config.input} is not a valid form file: {exc}") from None
     if phi.n != 1 or phi.q != 1:
         raise SystemExit("error: disc experiments expect a (0,1)-form in one "
                          "complex variable")
@@ -126,6 +142,9 @@ def _cmd_ellipticity(config: RunConfig) -> int:
     s = config.s if config.s is not None else 2
     _check_cap("--s", s, "s_ellipticity")
     points = config.points if config.points is not None else 25
+    _check_count("--points", points, 1)
+    if not 0.0 < config.xi_min <= config.xi_max:
+        raise SystemExit("error: the frequency range needs 0 < --xi-min <= --xi-max")
     grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max), points)
     report = ellipticity.certify_trivial_kernel(s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
@@ -142,6 +161,7 @@ def _cmd_ellipticity(config: RunConfig) -> int:
 def _cmd_bvp1d(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     _check_cap("--s", s, "s_bvp")
+    _check_count("--fd-nodes", config.fd_nodes, 6 * s)
     rng = np.random.default_rng(config.seed)
     problem, exact = bvp.manufactured_interval_problem(s, rng)
     sol = bvp.solve_interval(problem)
@@ -167,9 +187,11 @@ def _cmd_bvp1d(config: RunConfig) -> int:
 
 
 def _cmd_kop(config: RunConfig) -> int:
-    geom = geometry.default_geometry(max(config.radial_nodes, 1200),
-                                     config.angular_nodes,
-                                     config.boundary_refine_depth)
+    try:
+        geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
+                                         config.boundary_refine_depth)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
     omega = op.solve_with_boundary_data(np.ones(geom.n_theta))
     exact = (bvp.bessel_i_series(0, geom.r)
@@ -272,6 +294,7 @@ def _cmd_greens(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     if not 0 <= s <= 2:
         raise SystemExit("error: --s must lie in 0..2 for the exact identity check")
+    _check_count("--trials", config.trials, 1)
     rng = np.random.default_rng(config.seed)
     rows = []
     worst = 0.0
@@ -297,6 +320,7 @@ def _cmd_blowup(config: RunConfig) -> int:
     if not 2.0**-12 <= config.eps_min <= config.eps_max <= 2.0**-3:
         raise SystemExit("error: eps range must lie inside [2^-12, 2^-3]")
     count = config.points if config.points is not None else 8
+    _check_count("--points", count, 2)  # the slope needs two points
     eps_list = list(np.geomspace(config.eps_max, config.eps_min, count))
     rep = neumann.blowup_experiment(s, eps_list, delta=config.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}
@@ -314,7 +338,15 @@ def _cmd_blowup(config: RunConfig) -> int:
 
 def _cmd_verify_all(config: RunConfig) -> int:
     if config.criteria:
-        numbers = sorted({int(tok) for tok in config.criteria.split(",")})
+        try:
+            numbers = sorted({int(tok) for tok in config.criteria.split(",")})
+        except ValueError:
+            raise SystemExit(f"error: --criteria {config.criteria!r} is not a "
+                             "comma-separated list of numbers") from None
+        bad = [k for k in numbers if not 1 <= k <= len(acceptance.CRITERIA)]
+        if bad:
+            raise SystemExit(f"error: --criteria {bad[0]} is outside "
+                             f"1..{len(acceptance.CRITERIA)}")
     else:
         numbers = list(range(1, len(acceptance.CRITERIA) + 1))
     results = []
@@ -380,10 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON record here")
         p.add_argument("--csv", dest="csv_out",
                        help="write the tabular rows as CSV (columns as in JSON rows)")
-        p.add_argument("--radial-nodes", type=int, dest="radial_nodes")
-        p.add_argument("--angular-nodes", type=int, dest="angular_nodes")
-        p.add_argument("--boundary-refine-depth", type=int,
-                       dest="boundary_refine_depth")
 
     p = sub.add_parser("identities", help="exact combinatorial and form identities")
     add_common(p)
@@ -398,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bvp1d", help="interval problem: manufactured + FD check")
     add_common(p)
     p.add_argument("--s", type=int)
-    p.add_argument("--manufactured", action="store_true",
-                   help="kept for symmetry; the run is always manufactured")
     p.add_argument("--fd-nodes", type=int, dest="fd_nodes")
 
     p = sub.add_parser("kop", help="adjoint-correction operator on the disc (s=1)")
     add_common(p)
+    p.add_argument("--radial-nodes", type=int, dest="radial_nodes",
+                   help="radial grid resolution (default 1200)")
+    p.add_argument("--angular-nodes", type=int, dest="angular_nodes")
+    p.add_argument("--boundary-refine-depth", type=int, dest="boundary_refine_depth")
     p.add_argument("--mode-max", type=int, dest="mode_max")
     p.add_argument("--input", "--f", dest="input", help="form file to apply K to")
 
@@ -436,26 +466,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommand_flags(parser: argparse.ArgumentParser, name: str) -> dict:
+    """The optional arguments of one subcommand, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[name]._actions
+            if a.option_strings and a.dest != "help"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     values = {k: v for k, v in vars(args).items() if v is not None}
     config_path = values.pop("config", None)
     if config_path:
-        file_values = _read_config_file(config_path)
-        for key, raw in file_values.items():
-            if key not in RunConfig.__dataclass_fields__:
-                raise SystemExit(f"error: unknown config key {key!r}")
-            if key in values and key != "subcommand":
+        flags = _subcommand_flags(parser, args.subcommand)
+        for key, raw in _read_config_file(config_path).items():
+            if key not in flags:
+                raise SystemExit(f"error: unknown config key {key!r} for "
+                                 f"{args.subcommand}")
+            if key in values:
                 continue  # explicit flag wins
-            field_type = RunConfig.__dataclass_fields__[key].type
-            if "int" in str(field_type):
-                values[key] = int(raw)
-            elif "float" in str(field_type):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
-    values.pop("manufactured", None)
+            convert = flags[key].type or str
+            try:
+                values[key] = convert(raw)
+            except ValueError:
+                raise SystemExit(f"error: {config_path}: {key} = {raw!r} is not "
+                                 f"a valid {convert.__name__}") from None
     config = RunConfig(**values)
     return HANDLERS[config.subcommand](config)
 

@@ -106,25 +106,6 @@ def reduce_double_sum(s: int, ell: int) -> SymbolPoly:
     return {p: poly for p, poly in out.items() if poly}
 
 
-@dataclass(frozen=True)
-class BoundarySymbol:
-    """One boundary operator of the model problem, in both representations."""
-
-    s: int
-    ell: int
-
-    @property
-    def closed_form(self) -> SymbolPoly:
-        return symbol_closed_form_exact(self.s, self.ell)
-
-    @property
-    def double_sum(self) -> dict[tuple[int, int], int]:
-        return symbol_double_sum(self.s, self.ell)
-
-    def coefficients(self, xi: float | Fraction) -> list:
-        return symbol_closed_form(self.s, self.ell, xi)
-
-
 def _exp_poly_derivative(p: list, xi) -> list:
     """d/dx applied to poly(x) * exp(-xi x), returned as a new poly."""
     out = [c * 0 for c in p] if p else []
@@ -245,21 +226,3 @@ def quadratic_form(s: int, xi: float, v: Sequence[complex]) -> float:
         p = _exp_poly_derivative(p, xi)
     return total
 
-
-@dataclass(frozen=True)
-class ModelProblem:
-    """The half-line ODE at a fixed frequency, with its solution basis."""
-
-    s: int
-    xi: float
-
-    def __post_init__(self) -> None:
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
-
-    def solution_basis(self) -> list[list[int]]:
-        """Coefficient lists of x^m exp(-xi x), m = 0..s-1."""
-        return [[0] * m + [1] for m in range(self.s)]
-
-    def collocation_matrix(self) -> np.ndarray:
-        return lopatinski_matrix(self.s, self.xi)

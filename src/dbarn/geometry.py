@@ -377,22 +377,30 @@ def tangential_decompose(j: int, f: SampledField) -> tuple[SampledField, Sampled
     return SampledField(f.geom, yj), SampledField(f.geom, npart)
 
 
-def _hessian_frame(f: SampledField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal-frame Hessian components (H_rr, H_rtheta, H_thetatheta)."""
+def _frame_derivatives(f: SampledField, s: int) -> list[np.ndarray]:
+    """[f, f_r, f_theta, H_rr, H_rtheta, H_thetatheta] up to order s, each taken once.
+
+    The Hessian components are those of the orthonormal polar frame; rows at
+    r = 0 of the 1/r-scaled components are zeroed.
+    """
     geom = f.geom
-    fr = f.radial_derivative(1).values
-    frr = f.radial_derivative(2).values
-    ft = f.theta_derivative(1).values
-    ftt = f.theta_derivative(2).values
-    frt = SampledField(geom, fr).theta_derivative(1).values
-    r = geom.r[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_rt = frt / r - ft / r**2
-        h_tt = fr / r + ftt / r**2
-    zero_row = geom.r == 0.0
-    h_rt[zero_row, :] = 0.0
-    h_tt[zero_row, :] = 0.0
-    return frr, h_rt, h_tt
+    out = [f.values]
+    if s >= 1:
+        out += [f.radial_derivative(1).values, f.theta_derivative(1).values]
+    if s >= 2:
+        fr, ft = out[1], out[2]
+        frr = f.radial_derivative(2).values
+        ftt = f.theta_derivative(2).values
+        frt = SampledField(geom, fr).theta_derivative(1).values
+        r = geom.r[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_rt = frt / r - ft / r**2
+            h_tt = fr / r + ftt / r**2
+        zero_row = geom.r == 0.0
+        h_rt[zero_row, :] = 0.0
+        h_tt[zero_row, :] = 0.0
+        out += [frr, h_rt, h_tt]
+    return out
 
 
 def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
@@ -405,22 +413,17 @@ def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
     if s not in (0, 1, 2):
         raise ValueError("sampled W^s inner products support s in {0, 1, 2}")
     geom = f.geom
-    total = geom.interior_integral(f.values * np.conj(g.values))
+    fd = _frame_derivatives(f, s)
+    gd = fd if g is f else _frame_derivatives(g, s)
+    total = geom.interior_integral(fd[0] * np.conj(gd[0]))
     if s >= 1:
-        fr = f.radial_derivative().values
-        gr = g.radial_derivative().values
-        ft = f.theta_derivative().values
-        gt = g.theta_derivative().values
-        r = geom.r[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ang = ft * np.conj(gt) / r**2
+            ang = fd[2] * np.conj(gd[2]) / geom.r[:, None]**2
         ang[geom.r == 0.0, :] = 0.0
-        total += geom.interior_integral(fr * np.conj(gr) + ang)
+        total += geom.interior_integral(fd[1] * np.conj(gd[1]) + ang)
     if s >= 2:
-        f_rr, f_rt, f_tt = _hessian_frame(f)
-        g_rr, g_rt, g_tt = _hessian_frame(g)
-        integrand = (f_rr * np.conj(g_rr) + 2.0 * f_rt * np.conj(g_rt)
-                     + f_tt * np.conj(g_tt))
+        integrand = (fd[3] * np.conj(gd[3]) + 2.0 * fd[4] * np.conj(gd[4])
+                     + fd[5] * np.conj(gd[5]))
         total += geom.interior_integral(integrand)
     return total
 

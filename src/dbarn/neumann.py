@@ -87,9 +87,6 @@ class DiscreteComplex:
 
     # -- coefficient plumbing ----------------------------------------------------
 
-    def function_coeffs(self, p: CPolynomial) -> np.ndarray:
-        return self.basis.coefficients_of(p)
-
     def form_coeffs(self, phi: FormPoly | CPolynomial) -> np.ndarray:
         comp = phi.component((1,)) if isinstance(phi, FormPoly) else phi
         return self.form_basis.coefficients_of(comp)

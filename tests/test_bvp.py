@@ -9,17 +9,15 @@ from dbarn.bvp import (
     DiscKOperator,
     Interval1DProblem,
     apply_Gs_s1,
-    apply_K_s1,
     bessel_i_series,
     bessel_i_series_derivative,
     characteristic_roots,
-    derive_boundary_data_s1,
     manufactured_interval_problem,
     solve_interval,
     solve_interval_fd,
 )
 from dbarn.forms import CPolynomial, CRational, random_cpolynomial
-from dbarn.geometry import SampledField, plateau_bump, ws_inner_sampled
+from dbarn.geometry import SampledField, fd_weights, plateau_bump, ws_inner_sampled
 from dbarn.multiindex import enumerate_up_to, gamma
 
 
@@ -120,6 +118,60 @@ def test_k_radial_bessel_oracle(geom_fine):
         assert abs(omega.values[i, 0] - exact[i]) < 1e-6
 
 
+@pytest.mark.parametrize("m,tol", [(1, 1e-6), (2, 1e-6), (7, 1e-6), (32, 2e-5), (64, 2e-5)])
+def test_k_mode_profile_bessel_oracle(geom_fine, m, tol):
+    # unit Neumann datum in mode m: I_m(r) / I_m'(1)
+    prof = DiscKOperator(geom_fine).unit_profile(m)
+    exact = bessel_i_series(m, geom_fine.r) / bessel_i_series_derivative(
+        m, np.array([1.0]))[0]
+    assert np.max(np.abs(prof - exact)) < tol
+
+
+def _mode_matrix_per_row(r, m):
+    """Reference: every stencil of the mode-m radial operator rebuilt row by row."""
+    n = len(r)
+    ab = np.zeros((5, n))
+    for i in range(1, n - 1):
+        sel = [i - 1, i, i + 1]
+        w2 = fd_weights(r[sel], r[i], 2)[2]
+        w1 = fd_weights(r[sel], r[i], 1)[1]
+        for j, a2, a1 in zip(sel, w2, w1):
+            ab[2 + i - j, j] += a2 + a1 / r[i]
+        ab[2, i] += -(m * m) / (r[i] * r[i]) - 1.0
+    if m == 0:
+        for j, a2 in enumerate(fd_weights(r[:3], 0.0, 2)[2]):
+            ab[2 - j, j] += 2.0 * a2
+        ab[2, 0] += -1.0
+    else:
+        ab[2, 0] += 1.0
+    for j, a1 in zip(range(n - 3, n), fd_weights(r[n - 3:], 1.0, 1)[1]):
+        ab[2 + n - 1 - j, j] += a1
+    return ab
+
+
+def test_k_shared_band_matches_per_row_assembly(geom):
+    op = DiscKOperator(geom)
+    for m in (0, 1, 5, op.mode_max):
+        assert np.array_equal(op._mode_matrix(m), _mode_matrix_per_row(geom.r, m))
+
+
+def test_k_builds_stencils_once(geom_fine, monkeypatch):
+    import dbarn.bvp
+
+    calls = []
+    real = dbarn.bvp.fd_weights
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dbarn.bvp, "fd_weights", counting)
+    op = DiscKOperator(geom_fine)
+    for m in range(op.mode_max + 1):
+        op.unit_profile(m)
+    assert len(calls) <= geom_fine.n_r + 2
+
+
 def test_k_zero_and_interior_support(geom_fine):
     op = DiscKOperator(geom_fine)
     zero = SampledField(geom_fine, np.zeros((geom_fine.n_r, geom_fine.n_theta)))
@@ -147,19 +199,11 @@ def test_k_mode_cap(geom_fine):
         op.unit_profile(9)
 
 
-def test_apply_k_wrapper(geom_fine):
-    psi = CPolynomial.const(1, 1)
-    via_wrapper = apply_K_s1(psi, geom_fine)
-    via_op = DiscKOperator(geom_fine).apply(psi)
-    assert np.array_equal(via_wrapper.values, via_op.values)
-    with pytest.raises(ValueError, match="geometry"):
-        apply_K_s1(psi)
-
-
 def test_boundary_data_zero_for_interior_support(geom_fine):
     psi = SampledField.from_polar(
         geom_fine, lambda r, t: plateau_bump(r / 0.4) * np.ones_like(t))
-    data = derive_boundary_data_s1(psi)
+    data = DiscKOperator(geom_fine).boundary_data(psi)
+    assert data.shape == (geom_fine.n_theta,)
     assert np.max(np.abs(data)) < 1e-12
 
 

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from dbarn.bvp import DiscKOperator, bessel_i_series, bessel_i_series_derivative
 from dbarn.cli import main
 from dbarn.forms import CPolynomial, FormPoly, form_to_text
+from dbarn.geometry import default_geometry
 
 
 @pytest.fixture
@@ -129,6 +132,70 @@ def test_kop_subcommand_with_input(tmp_path, form_file):
     assert payload["bessel_oracle_error"]["value"] <= 1e-6
     assert payload["solution_w1_norm"] > 0
     assert csv_out.read_text().splitlines()[0] == "r,theta,re,im"
+
+
+def test_kop_honours_radial_nodes(tmp_path):
+    # a coarser grid than the 1200-node default gives its own, larger oracle error
+    errors = {}
+    for nodes in (600, 1200):
+        out = tmp_path / f"kop{nodes}.json"
+        assert main(["kop", "--radial-nodes", str(nodes), "--out", str(out)]) == 0
+        errors[nodes] = json.loads(out.read_text())["bessel_oracle_error"]["value"]
+    geom = default_geometry(600, 128, 8)
+    omega = DiscKOperator(geom).solve_with_boundary_data(np.ones(geom.n_theta))
+    exact = bessel_i_series(0, geom.r) / bessel_i_series_derivative(0, np.array([1.0]))[0]
+    assert errors[600] == float(np.max(np.abs(omega.values[:, 0] - exact)))
+    assert errors[600] > errors[1200]
+
+
+TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
+
+
+@pytest.mark.parametrize("argv,files", [
+    pytest.param(["ellipticity", "--points", "0"], {}, id="ellipticity-points-0"),
+    pytest.param(["ellipticity", "--xi-min", "0"], {}, id="ellipticity-xi-min-0"),
+    pytest.param(["ellipticity", "--xi-min", "5", "--xi-max", "1"], {},
+                 id="ellipticity-xi-range-reversed"),
+    pytest.param(["greens", "--trials", "0"], {}, id="greens-trials-0"),
+    pytest.param(["blowup", "--points", "1"], {}, id="blowup-points-1"),
+    pytest.param(["blowup", "--points", "0"], {}, id="blowup-points-0"),
+    pytest.param(["bvp1d", "--fd-nodes", "2"], {}, id="bvp1d-fd-nodes-2"),
+    pytest.param(["bvp1d", "--s", "2", "--fd-nodes", "11"], {}, id="bvp1d-s2-fd-nodes-11"),
+    pytest.param(["kop", "--input", "{tmp}/missing.form"], {}, id="missing-form-file"),
+    pytest.param(["canonical", "--f", "{tmp}/cut.form"], {"cut.form": TRUNCATED_FORM},
+                 id="truncated-form-canonical"),
+    pytest.param(["kop", "--input", "{tmp}/cut.form"], {"cut.form": TRUNCATED_FORM},
+                 id="truncated-form-kop"),
+    pytest.param(["--config", "{tmp}/missing.cfg", "identities"], {}, id="missing-config-file"),
+    pytest.param(["--config", "{tmp}/run.cfg", "ellipticity"], {"run.cfg": "points = abc\n"},
+                 id="config-value-not-int"),
+    pytest.param(["--config", "{tmp}/run.cfg", "identities"],
+                 {"run.cfg": "subcommand = greens\n"}, id="config-sets-subcommand"),
+    pytest.param(["--config", "{tmp}/run.cfg", "greens"], {"run.cfg": "radial_nodes = 600\n"},
+                 id="config-kop-only-key"),
+    pytest.param(["verify-all", "--criteria", "99"], {}, id="criteria-out-of-range"),
+    pytest.param(["verify-all", "--criteria", "x"], {}, id="criteria-not-a-number"),
+    pytest.param(["kop", "--angular-nodes", "7"], {}, id="kop-odd-angular-nodes"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    message = str(err.value)
+    assert message.startswith("error:") and "\n" not in message
+    assert capsys.readouterr().out == ""  # refused before any work ran
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bvp1d", "--manufactured"], id="bvp1d-manufactured"),
+    pytest.param(["greens", "--radial-nodes", "600"], id="grid-flag-outside-kop"),
+])
+def test_removed_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_all_subset(tmp_path, capsys):

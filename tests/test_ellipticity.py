@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from dbarn.ellipticity import (
-    BoundarySymbol,
-    ModelProblem,
     apply_symbol,
     certify_trivial_kernel,
     half_line_moment,
@@ -127,13 +125,11 @@ def test_quadratic_form_scaling():
                - 4 * quadratic_form(2, 0.7, v)) < 1e-12
 
 
-def test_model_problem_carrier():
-    mp = ModelProblem(3, 2.0)
-    basis = mp.solution_basis()
-    assert [len(p) for p in basis] == [1, 2, 3]
-    assert mp.collocation_matrix().shape == (3, 3)
-    with pytest.raises(ValueError):
-        ModelProblem(2, -1.0)
-    sym = BoundarySymbol(3, 1)
-    assert sym.closed_form == symbol_closed_form_exact(3, 1)
-    assert sym.coefficients(1.0) == symbol_closed_form(3, 1, 1.0)
+def test_lopatinski_matrix_shape_and_domain():
+    # one row per boundary operator, one column per bounded solution x^m exp(-xi x)
+    for s in range(1, 7):
+        assert lopatinski_matrix(s, 2.0).shape == (s, s)
+    with pytest.raises(ValueError, match="positive"):
+        lopatinski_matrix(2, -1.0)
+    with pytest.raises(ValueError, match="positive"):
+        lopatinski_matrix(3, Fraction(0))

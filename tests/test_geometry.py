@@ -176,6 +176,16 @@ def test_ws_inner_polarized(geom, rng):
     assert abs(quad - exact) <= 1e-7 * max(abs(exact), 1.0)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_ws_inner_of_a_copy_equals_the_shared_path(geom, rng, s):
+    # ws_inner_sampled reuses f's frame derivatives for g when g is f; a
+    # separate copy takes its own and must give the very same number
+    values = rng.standard_normal((geom.n_r, geom.n_theta)) * (1.0 + 0.5j)
+    f = SampledField(geom, values)
+    copy = SampledField(geom, values.copy())
+    assert ws_inner_sampled(f, copy, s) == ws_inner_sampled(f, f, s)
+
+
 def test_ws_norm_rejects_large_s(geom):
     f = radial(geom, lambda r: r)
     with pytest.raises(ValueError):
