@@ -30,6 +30,10 @@ CAPS = {
     "s_neumann": (0, 2),
     "s_bvp": (1, 3),
     "d": (1, 40),
+    # kop grid: the lower ends are DiscGeometry's; at the upper ends a kop
+    # --input run peaks near 0.8 GB
+    "radial_nodes": (16, 4800),
+    "angular_nodes": (8, 1024),
 }
 
 
@@ -187,6 +191,12 @@ def _cmd_bvp1d(config: RunConfig) -> int:
 
 
 def _cmd_kop(config: RunConfig) -> int:
+    _check_cap("--radial-nodes", config.radial_nodes, "radial_nodes")
+    _check_cap("--angular-nodes", config.angular_nodes, "angular_nodes")
+    top = config.angular_nodes // 2
+    if config.mode_max is not None and not 0 <= config.mode_max <= top:
+        raise SystemExit(f"error: --mode-max={config.mode_max} is outside the range "
+                         f"0..{top} of a {config.angular_nodes}-node angular grid")
     try:
         geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
                                          config.boundary_refine_depth)

@@ -242,59 +242,69 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 # The monomial Gram decomposes into charge blocks (charge = z-exponent minus
 # zbar-exponent) that are shifted Hilbert matrices; beyond degree ~25 their
 # float64 factorization breaks down even though the matrices are exactly
-# positive definite.  dbar shifts charge by +1, so the whole Neumann solve
-# factors over charges into blocks of size <= (d+2)/2, small enough to solve
-# in exact rational arithmetic.  The routines below carry out the solve and
-# the positivity certification that way, on the closed-form blocks of
-# ``sobolev.gram_block``; only final scalars become floats.
+# positive definite.  dbar shifts charge by +1, so the Neumann operator
+# factors over charges into blocks of size <= (d+2)/2.  The routines below
+# certify positivity and bound the operator on those blocks exactly, from the
+# closed-form fractions of ``sobolev.gram_block``:
+#
+#   * the dbar normal matrix M = A G_func^-1 A^T of a charge is inverted in
+#     closed form by the block-inverse (Schur complement) identity, see
+#     ``neumann_operator_norm_proxy_exact``;
+#   * every elimination that remains is fraction-free (Bareiss, Math. Comp.
+#     22, 1968): a block is scaled to integers by the lcm of its
+#     denominators and eliminated on Python ints, each step dividing exactly
+#     by the previous pivot; only its final quotients become Fractions.
+#     The pivots are the leading principal minors, which
+#     by Sylvester's criterion are all positive exactly when the block is
+#     positive definite.
+#
+# Only final scalars become floats.
 
 
-def _fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
-                    ) -> list[list[Fraction]]:
-    """Exact Gaussian elimination; rhs holds columns of the right-hand sides."""
-    n = len(mat)
-    a = [row[:] + r[:] for row, r in zip(mat, rhs)]
-    m = len(a[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("exact system is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:m] for row in a]
+def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows times the lcm L of all their denominators, as ints, and L."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _fraction_ldl_pivots(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Pivots of the (unpermuted) LDL^T factorization; all positive iff PD."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    pivots = []
-    for k in range(n):
-        piv = a[k][k]
-        pivots.append(piv)
+def _bareiss(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of an integer block [A | B], in place.
+
+    A is the leading n x n part of the n rows.  No rows are exchanged, so the
+    pivots are the leading principal minors of A, which are returned.  On
+    return A is replaced by det(A) I and B by det(A) A^-1 B, all integers.
+    Raises ValueError at a zero minor, past which elimination without row
+    exchanges cannot go (a positive definite A has none).
+    """
+    minors = []
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        piv = pivot_row[k]
         if piv == 0:
-            return pivots
-        for r in range(k + 1, n):
-            f = a[r][k] / piv
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-    return pivots
+            raise ValueError("exact system has a zero leading principal minor")
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        minors.append(piv)
+        prev = piv
+    return minors
+
+
+def _positive_definite_exact(mat: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive."""
+    rows, _ = _integer_rows(mat)
+    try:
+        return all(m > 0 for m in _bareiss(rows))
+    except ValueError:  # a zero minor
+        return False
 
 
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
     """Certify positive definiteness of the degree-d W^s Gram, exactly."""
     for charge in range(-d, d + 1):
         exps = charge_exponents(charge, d)
-        if not exps:
-            continue
-        block = gram_block(exps, s)
-        if any(p <= 0 for p in _fraction_ldl_pivots(block)):
+        if exps and not _positive_definite_exact(gram_block(exps, s)):
             return False
     return True
 
@@ -303,38 +313,46 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
     """max_k |N_s e_k|_s / |e_k|_s over the form basis, in exact arithmetic.
 
     For a form basis vector e_k in charge block kappa, the solve reads
-    y = (A G_func^-1 A^H)^-1 e_k and |N_s e_k|_s^2 = y^T G_form^-1 y; both
-    Grams and the integer dbar block A live on single charges.
+    y = M^-1 e_k with M = A G_func^-1 A^T, and |N_s e_k|_s^2 = y^T G_form^-1 y;
+    both Grams and the integer dbar block A live on single charges.  In basis
+    order A = [0 | D]: the function column h = z^(kappa-1) (present when
+    kappa >= 1) is holomorphic, and every other column (a, b) maps to the form
+    row (a, b-1) with weight b, so D = diag(b).  The block-inverse (Schur
+    complement) identity then gives M^-1 in closed form,
+
+        Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1,
+
+    over the non-holomorphic columns S (D^-1 G_SS D^-1 with no h).  The only
+    elimination left is G_form W = Y, done fraction-free on integers, and
+    |N_s e_k|_s^2 = (Y^T W)_kk.
     """
     if s < 0 or s > MAX_NEUMANN_S:
         raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
     best = Fraction(0)
     for charge in range(-(d - 1), d):
         form_exps = charge_exponents(charge, d - 1)
-        if not form_exps:
-            continue
         func_exps = charge_exponents(charge - 1, d)
-        form_index = {e: i for i, e in enumerate(form_exps)}
-        nf, nu = len(form_exps), len(func_exps)
-        a_mat = [[Fraction(0)] * nu for _ in range(nf)]
-        for j, (a, b) in enumerate(func_exps):
-            if b:
-                a_mat[form_index[(a, b - 1)]][j] = Fraction(b)
-        g_func = gram_block(func_exps, s)
+        hol = 1 if func_exps[0][1] == 0 else 0
+        assert [(a, b - 1) for a, b in func_exps[hol:]] == form_exps
+        g = gram_block(func_exps, s)
+        if hol:
+            gh = g[0]
+            g = [[x - row[0] * y / gh[0] for x, y in zip(row[1:], gh[1:])]
+                 for row in g[1:]]
+        weights = [b for _, b in func_exps[hol:]]
+        y = [[x / (bi * bj) for x, bj in zip(row, weights)]
+             for row, bi in zip(g, weights)]
         g_form = gram_block(form_exps, s)
-        # X = G_func^-1 A^T ; M = A X ; Y = M^-1 ; W = G_form^-1 Y
-        a_t = [[a_mat[i][j] for i in range(nf)] for j in range(nu)]
-        x = _fraction_solve(g_func, a_t)
-        m = [[sum(a_mat[i][t] * x[t][j] for t in range(nu)) for j in range(nf)]
-             for i in range(nf)]
-        eye = [[Fraction(1) if i == j else Fraction(0) for j in range(nf)]
-               for i in range(nf)]
-        y = _fraction_solve(m, eye)
-        w = _fraction_solve(g_form, y)
+        gi, g_den = _integer_rows(g_form)
+        yi, y_den = _integer_rows(y)
+        rows = [gr + yr for gr, yr in zip(gi, yi)]
+        det = _bareiss(rows)[-1]
+        # rows[t][nf + k] = det (gi^-1 yi)[t][k], and G_form = gi / g_den,
+        # Y = yi / y_den, so (Y^T W)_kk = g_den (yi^T gi^-1 yi)_kk / y_den^2
+        nf = len(form_exps)
         for k in range(nf):
-            num = sum(y[t][k] * w[t][k] for t in range(nf))
-            ratio2 = num / g_form[k][k]
-            best = max(best, ratio2)
+            num = sum(yi[t][k] * rows[t][nf + k] for t in range(nf))
+            best = max(best, Fraction(g_den * num, y_den * y_den * det) / g_form[k][k])
     return math.sqrt(float(best))
 
 

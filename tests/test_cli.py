@@ -176,6 +176,13 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
     pytest.param(["verify-all", "--criteria", "99"], {}, id="criteria-out-of-range"),
     pytest.param(["verify-all", "--criteria", "x"], {}, id="criteria-not-a-number"),
     pytest.param(["kop", "--angular-nodes", "7"], {}, id="kop-odd-angular-nodes"),
+    pytest.param(["kop", "--radial-nodes", "4801"], {}, id="kop-radial-nodes-above-cap"),
+    pytest.param(["kop", "--radial-nodes", "100000000000"], {}, id="kop-radial-nodes-huge"),
+    pytest.param(["kop", "--angular-nodes", "1026"], {}, id="kop-angular-nodes-above-cap"),
+    pytest.param(["kop", "--mode-max", "-1"], {}, id="kop-mode-max-negative"),
+    pytest.param(["kop", "--mode-max", "5000"], {}, id="kop-mode-max-beyond-grid"),
+    pytest.param(["kop", "--angular-nodes", "16", "--mode-max", "9"], {},
+                 id="kop-mode-max-beyond-coarse-grid"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():

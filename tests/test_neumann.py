@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from dbarn.forms import CPolynomial, FormPoly, random_cpolynomial
 from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
 from dbarn.neumann import (
     DiscreteComplex,
+    _bareiss,
+    _integer_rows,
+    _positive_definite_exact,
     adjoint,
     blowup_experiment,
     canonical_solve_dbar,
@@ -17,7 +22,7 @@ from dbarn.neumann import (
     neumann_solve,
     verify_gram_positive_definite_exact,
 )
-from dbarn.sobolev import MonomialBasis, SobolevGram
+from dbarn.sobolev import MonomialBasis, SobolevGram, charge_exponents, gram_block
 
 DZBAR = FormPoly(1, 1, {(1,): CPolynomial.const(1, 1)})
 
@@ -134,13 +139,136 @@ def test_neumann_proxy_float_matches_exact():
 
 
 def test_neumann_proxy_stable_across_degrees():
-    vals = [neumann_operator_norm_proxy_exact(d, 1) for d in (10, 16, 20)]
-    assert max(vals) / min(vals) < 2.0
+    # the criterion-9 grid
+    for s in (0, 1, 2):
+        vals = [neumann_operator_norm_proxy_exact(d, s) for d in (10, 20, 40)]
+        assert max(vals) / min(vals) < 2.0
 
 
 def test_exact_positive_definiteness():
     assert verify_gram_positive_definite_exact(12, 0)
     assert verify_gram_positive_definite_exact(8, 2)
+    assert verify_gram_positive_definite_exact(40, 2)
+
+
+# -- the exact backend against Fraction Gauss-Jordan ------------------------------------
+
+
+def fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
+                   ) -> list[list[Fraction]]:
+    """Reference: Gauss-Jordan elimination with row pivoting on Fractions."""
+    n = len(mat)
+    a = [row[:] + r[:] for row, r in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("exact system is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def three_solve_proxy_exact(d: int, s: int) -> float:
+    """Reference proxy: X = G_func^-1 A^T, M = A X, Y = M^-1, W = G_form^-1 Y."""
+    best = Fraction(0)
+    for charge in range(-(d - 1), d):
+        form_exps = charge_exponents(charge, d - 1)
+        func_exps = charge_exponents(charge - 1, d)
+        form_index = {e: i for i, e in enumerate(form_exps)}
+        nf, nu = len(form_exps), len(func_exps)
+        a_mat = [[Fraction(0)] * nu for _ in range(nf)]
+        for j, (a, b) in enumerate(func_exps):
+            if b:
+                a_mat[form_index[(a, b - 1)]][j] = Fraction(b)
+        g_func = gram_block(func_exps, s)
+        g_form = gram_block(form_exps, s)
+        a_t = [list(col) for col in zip(*a_mat)]
+        x = fraction_solve(g_func, a_t)
+        m = [[sum(a_mat[i][t] * x[t][j] for t in range(nu)) for j in range(nf)]
+             for i in range(nf)]
+        eye = [[Fraction(int(i == j)) for j in range(nf)] for i in range(nf)]
+        y = fraction_solve(m, eye)
+        w = fraction_solve(g_form, y)
+        for k in range(nf):
+            num = sum(y[t][k] * w[t][k] for t in range(nf))
+            best = max(best, num / g_form[k][k])
+    return float(best) ** 0.5
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_proxy_equals_three_solve_reference(s):
+    for d in range(1, 15):
+        assert neumann_operator_norm_proxy_exact(d, s) == three_solve_proxy_exact(d, s)
+
+
+def random_rational_spd(rng, n: int, m: int
+                        ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """B^T B + I with small rational B, and an n x m rational right-hand side."""
+    def draw(rows, cols):
+        return [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                 for _ in range(cols)] for _ in range(rows)]
+    b = draw(n, n)
+    mat = [[sum(b[t][i] * b[t][j] for t in range(n)) + (i == j) for j in range(n)]
+           for i in range(n)]
+    return mat, draw(n, m)
+
+
+def integer_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
+                  ) -> list[list[Fraction]]:
+    """mat^-1 rhs through the integer eliminator."""
+    n = len(mat)
+    mi, m_den = _integer_rows(mat)
+    ri, r_den = _integer_rows(rhs)
+    rows = [a + b for a, b in zip(mi, ri)]
+    det = _bareiss(rows)[-1]
+    assert all(rows[i][j] == det * (i == j) for i in range(n) for j in range(n))
+    return [[Fraction(x * m_den, det * r_den) for x in row[n:]] for row in rows]
+
+
+def test_integer_solve_matches_fraction_gauss_jordan(rng):
+    for n, m in [(1, 1), (2, 3), (5, 4), (9, 9), (12, 2)]:
+        mat, rhs = random_rational_spd(rng, n, m)
+        assert integer_solve(mat, rhs) == fraction_solve(mat, rhs)
+
+
+def laplace_det(mat: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, x in enumerate(mat[0]))
+
+
+def test_bareiss_minors_are_the_leading_principal_minors(rng):
+    mat, _ = random_rational_spd(rng, 6, 0)
+    rows, _ = _integer_rows(mat)
+    minors = _bareiss([row[:] for row in rows])
+    assert minors == [laplace_det([row[:k] for row in rows[:k]]) for k in range(1, 7)]
+    assert _positive_definite_exact(mat)
+
+
+def test_singular_system_raises():
+    b = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
+         [Fraction(2), Fraction(-1), Fraction(1, 5)]]
+    mat = [[sum(b[t][i] * b[t][j] for t in range(2)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="zero leading principal minor"):
+        integer_solve(mat, [[Fraction(1)], [Fraction(2)], [Fraction(3)]])
+
+
+def test_minors_route_rejects_non_positive_definite():
+    assert _positive_definite_exact([[Fraction(1), Fraction(1, 2)],
+                                     [Fraction(1, 2), Fraction(1, 3)]])
+    # indefinite: leading minors 1 and -3
+    assert not _positive_definite_exact([[Fraction(1), Fraction(2)],
+                                         [Fraction(2), Fraction(1)]])
+    # singular symmetric rational: second minor is 1/9 - 1/9 = 0
+    assert not _positive_definite_exact([[Fraction(1, 2), Fraction(1, 3)],
+                                         [Fraction(1, 3), Fraction(2, 9)]])
 
 
 # -- Hodge splitting ------------------------------------------------------------------
