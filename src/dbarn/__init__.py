@@ -91,7 +91,6 @@ from .neumann import (
     domain_projection,
     greens_identity_check,
     hodge_decompose,
-    neumann_operator_norm_proxy,
     neumann_operator_norm_proxy_exact,
     neumann_solve,
     verify_gram_positive_definite_exact,

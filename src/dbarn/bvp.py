@@ -305,8 +305,12 @@ class DiscKOperator:
     _profiles: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        top = self.geom.n_theta // 2
         if self.mode_max is None:
-            self.mode_max = self.geom.n_theta // 2
+            self.mode_max = top
+        elif not 0 <= self.mode_max <= top:
+            raise ValueError(f"mode_max={self.mode_max} is outside the range 0..{top} "
+                             f"of a {self.geom.n_theta}-node angular grid")
         # Banded storage for (l, u) = (2, 2): entry (i, j) sits at [2 + i - j, j].
         # Interior rows carry omega'' + omega' / r; the last row is the Neumann
         # datum at r = 1; the row at r = 0 depends on the mode.

@@ -261,7 +261,10 @@ def _cmd_neumann(config: RunConfig) -> int:
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d - 1)
     cx = neumann.DiscreteComplex.build(config.d, s)
-    sol = neumann.neumann_solve(phi, cx=cx)
+    try:
+        sol = neumann.neumann_solve(phi, cx=cx)
+    except ValueError as exc:  # the float Gram factorization broke down
+        raise SystemExit(f"error: {exc}") from None
     rows = _form_rows(cx.form_basis, sol.coeffs)
     payload = {
         "s": s, "d": config.d,
@@ -280,7 +283,10 @@ def _cmd_hodge(config: RunConfig) -> int:
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d)
     cx = neumann.DiscreteComplex.build(config.d, s)
-    f1, f2 = neumann.hodge_decompose(phi, cx=cx)
+    try:
+        f1, f2 = neumann.hodge_decompose(phi, cx=cx)
+    except ValueError as exc:  # the float Gram factorization broke down
+        raise SystemExit(f"error: {exc}") from None
     n1, n2 = cx.gram.norm(f1), cx.gram.norm(f2)
     cross = abs(cx.gram.inner(f1, f2))
     # the normalized defect is only meaningful when both parts carry mass

@@ -13,7 +13,14 @@ Contents:
     Gram-weighted spaces,
   * least-norm (canonical) solutions of dbar u = f and the inverse of
     dbar dbar* on (0,1)-forms (in one complex variable the full Laplacian
-    dbar dbar* + dbar* dbar reduces to dbar dbar* at top degree),
+    dbar dbar* + dbar* dbar reduces to dbar dbar* at top degree).  Both rest
+    on the shape of the dbar matrix: each function column z^a zbar^b with
+    b > 0 has the single entry b, in form row z^a zbar^(b-1), and the
+    holomorphic columns are zero, so A A^T = diag(b^2).  The canonical
+    solution is then closed form, with no Gram factored, and the Neumann
+    solution costs one solve with the cached form-Gram Cholesky factor
+    (dbar* N f is the canonical solution, Kohn's formula); a second solve,
+    with the function Gram, checks it,
   * the Hodge-type splitting of a form into its dbar-range part and the
     orthogonal remainder,
   * the integration-by-parts (Green) identity connecting <dbar phi, psi>_s,
@@ -56,6 +63,20 @@ MAX_NEUMANN_S = 2
 MAX_NEUMANN_D = 40
 
 
+def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column index and weight b of the single entry in each row of A at degree d.
+
+    dbar(z^a zbar^b) = b z^a zbar^(b-1): form row (a, b-1) is hit only by the
+    function column (a, b), with weight b, so A A^T = diag(b^2), and the
+    holomorphic columns are zero.  Both bases are degree graded: a form row
+    of total degree t sits at t(t+1)/2 + b - 1 and its column at
+    (t+1)(t+2)/2 + b, which is t + 2 further on.
+    """
+    deg = np.repeat(np.arange(d), np.arange(1, d + 1))
+    rows = np.arange(len(deg))
+    return rows + deg + 2, rows - deg * (deg + 1) // 2 + 1
+
+
 @dataclass
 class DiscreteComplex:
     """dbar: functions of degree <= d -> form components of degree <= d-1,
@@ -78,10 +99,9 @@ class DiscreteComplex:
         gram = assemble_gram(basis, s)
         form_gram = leading_subgram(gram, d - 1)
         form_basis = form_gram.basis
+        cols, b = _dbar_pattern(d)
         mat = np.zeros((form_basis.dim, basis.dim))
-        for j, (a, b) in enumerate(basis.exponents):
-            if b:
-                mat[form_basis.index_of(a, b - 1), j] = b
+        mat[np.arange(form_basis.dim), cols] = b
         return cls(s=s, basis=basis, form_basis=form_basis, gram=gram,
                    form_gram=form_gram, dbar_matrix=mat)
 
@@ -92,7 +112,9 @@ class DiscreteComplex:
         return self.form_basis.coefficients_of(comp)
 
     def holomorphic_indices(self) -> np.ndarray:
-        return np.array([i for i, (a, b) in enumerate(self.basis.exponents) if b == 0])
+        """Indices of z^k, k = 0..d: in the degree-graded basis z^k sits at k(k+1)/2."""
+        k = np.arange(self.basis.degree + 1)
+        return k * (k + 1) // 2
 
 
 def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram,
@@ -115,23 +137,21 @@ class LeastNormSolution:
     kernel_orthogonality: float  # max |<u, z^k>_s|
 
 
-def _normal_factor(cx: DiscreteComplex) -> np.ndarray:
-    """Cholesky factor of A G^-1 A^H, the Hermitian core of A A*.
+def _least_norm(cx: DiscreteComplex, fvec: np.ndarray, cols: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """Coefficients of the least-W^s-norm solution of A u = f, in closed form.
 
-    The Gram adjoint is A* = G^-1 A^H G_f, so A A* = (A G^-1 A^H) G_f; the
-    parenthesized matrix is Hermitian positive definite exactly when the
-    discrete dbar is onto the form space.
+    u0 = A^T (f / b^2) solves A u0 = f and vanishes on the holomorphic
+    columns, which span the kernel of A.  There is one holomorphic monomial
+    z^k per charge, so they are mutually W^s-orthogonal, and projecting u0
+    off each one sets u[h] = -(G u0)[h] / G[h, h].
     """
-    normal = cx.dbar_matrix @ cx.gram.solve(cx.dbar_matrix.conj().T)
-    try:
-        return np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("dbar normal matrix is singular on the truncated range; "
-                         "reduce the degree of f") from exc
-
-
-def _chol_solve(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(lu.conj().T, np.linalg.solve(lu, rhs))
+    u = np.zeros(cx.basis.dim, dtype=np.result_type(fvec, float))
+    u[cols] = fvec / b
+    holo = cx.holomorphic_indices()
+    g_holo = cx.gram.matrix[holo]
+    u[holo] = -(g_holo @ u) / g_holo[np.arange(len(holo)), holo]
+    return u
 
 
 def canonical_solve_dbar(f, s: int | None = None, d: int | None = None,
@@ -139,23 +159,20 @@ def canonical_solve_dbar(f, s: int | None = None, d: int | None = None,
     """Least-W^s-norm solution of dbar u = f, orthogonal to the holomorphics.
 
     f may be a FormPoly / CPolynomial of degree <= d-1 or a coefficient
-    vector over the form basis.  Solved through the Gram normal equations
-    u = G^-1 A^H (A G^-1 A^H)^-1 f with two rounds of iterative refinement.
+    vector over the form basis.  The solution is written down, not solved
+    for (see ``_least_norm``): no Gram is factored, so it holds up to the
+    degree cap.  The residual and the kernel orthogonality are measured on
+    the returned coefficients.
     """
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     fvec = f if isinstance(f, np.ndarray) else cx.form_coeffs(f)
-    lu = _normal_factor(cx)
-    u = cx.gram.solve(cx.dbar_matrix.conj().T @ _chol_solve(lu, fvec))
-    for _ in range(2):
-        r = fvec - cx.dbar_matrix @ u
-        u = u + cx.gram.solve(cx.dbar_matrix.conj().T @ _chol_solve(lu, r))
+    cols, b = _dbar_pattern(cx.basis.degree)
+    u = _least_norm(cx, fvec, cols, b)
 
     fnorm = cx.form_gram.norm(fvec)
-    resid = cx.form_gram.norm(cx.dbar_matrix @ u - fvec) / fnorm if fnorm else 0.0
-    holo = cx.holomorphic_indices()
-    pair = cx.gram.matrix @ u
-    ortho = float(np.max(np.abs(pair[holo]))) if len(holo) else 0.0
+    resid = cx.form_gram.norm(b * u[cols] - fvec) / fnorm if fnorm else 0.0  # A u - f
+    ortho = float(np.max(np.abs(cx.gram.matrix[cx.holomorphic_indices()] @ u)))
     return LeastNormSolution(coeffs=u, residual=resid, kernel_orthogonality=ortho)
 
 
@@ -171,45 +188,29 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
                   cx: DiscreteComplex | None = None) -> NeumannSolution:
     """Invert dbar dbar* on (0,1)-forms (the full Laplacian at top degree).
 
-    The discrete harmonic space is trivial (dbar is onto the form space), so
-    the solve is a definite system; dbar* of the solution must match the
-    independent least-norm solve of dbar u = f.
+    The discrete harmonic space is trivial (dbar is onto the form space), and
+    dbar* u is the canonical solution v of dbar v = f (Kohn's formula).  With
+    A* = G^-1 A^T G_f that reads A^T G_f u = G v; applying A, whose A A^T is
+    diag(b^2), leaves G_f u = (A G v) / b^2: one solve with the cached form
+    Gram factor.  The check is independent of that identity: w = A* u comes
+    from a second solve, with the function Gram, and the residual
+    |A w - f|_s / |f|_s and the match |w - v|_s are measured on it.
     """
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     fvec = f if isinstance(f, np.ndarray) else cx.form_coeffs(f)
-    a_star = adjoint(cx.dbar_matrix, cx.gram, cx.form_gram)
-    # Operator on forms: u -> A A* u = (A G^-1 A^H)(G_f u); solve in two steps.
-    lu = _normal_factor(cx)
+    cols, b = _dbar_pattern(cx.basis.degree)
+    v = _least_norm(cx, fvec, cols, b)
+    u = cx.form_gram.solve((cx.gram.matrix @ v)[cols] / b)
 
-    def apply_op(vec: np.ndarray) -> np.ndarray:
-        return cx.dbar_matrix @ (a_star @ vec)
-
-    u = cx.form_gram.solve(_chol_solve(lu, fvec))
-    for _ in range(2):
-        r = fvec - apply_op(u)
-        u = u + cx.form_gram.solve(_chol_solve(lu, r))
-
+    a_t_gu = np.zeros(cx.basis.dim, dtype=u.dtype)
+    a_t_gu[cols] = b * (cx.form_gram.matrix @ u)
+    w = cx.gram.solve(a_t_gu)  # A* u
     fnorm = cx.form_gram.norm(fvec)
-    resid = cx.form_gram.norm(apply_op(u) - fvec) / fnorm if fnorm else 0.0
+    resid = cx.form_gram.norm(b * w[cols] - fvec) / fnorm if fnorm else 0.0
     ratio = cx.form_gram.norm(u) / fnorm if fnorm else 0.0
-    canon = canonical_solve_dbar(fvec, cx=cx)
-    diff = cx.gram.norm(a_star @ u - canon.coeffs)
     return NeumannSolution(coeffs=u, residual=resid, norm_ratio=ratio,
-                           canonical_match=diff)
-
-
-def neumann_operator_norm_proxy(d: int, s: int) -> float:
-    """max over form basis vectors of |N_s e_k|_s / |e_k|_s."""
-    cx = DiscreteComplex.build(d, s)
-    lu = _normal_factor(cx)
-    inv = cx.form_gram.solve(_chol_solve(lu, np.eye(cx.form_basis.dim)))
-    best = 0.0
-    for k in range(cx.form_basis.dim):
-        e = np.zeros(cx.form_basis.dim)
-        e[k] = 1.0
-        best = max(best, cx.form_gram.norm(inv[:, k]) / cx.form_gram.norm(e))
-    return best
+                           canonical_match=cx.gram.norm(w - v))
 
 
 def hodge_decompose(f, s: int | None = None, d: int | None = None,
@@ -325,16 +326,26 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
     over the non-holomorphic columns S (D^-1 G_SS D^-1 with no h).  The only
     elimination left is G_form W = Y, done fraction-free on integers, and
     |N_s e_k|_s^2 = (Y^T W)_kk.
+
+    Each degree-d block is built once: the basis is degree graded, so the
+    form block of charge kappa (degree d - 1) is its leading block, and the
+    whole block is the function block of the next charge.
     """
     if s < 0 or s > MAX_NEUMANN_S:
         raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
     best = Fraction(0)
+    exps = charge_exponents(-d, d)
+    block = gram_block(exps, s)
     for charge in range(-(d - 1), d):
+        func_exps, g = exps, block  # charge - 1, degree d
+        exps = charge_exponents(charge, d)
+        block = gram_block(exps, s)
         form_exps = charge_exponents(charge, d - 1)
-        func_exps = charge_exponents(charge - 1, d)
+        nf = len(form_exps)
+        assert exps[:nf] == form_exps
+        g_form = [row[:nf] for row in block[:nf]]  # charge, degree d - 1
         hol = 1 if func_exps[0][1] == 0 else 0
         assert [(a, b - 1) for a, b in func_exps[hol:]] == form_exps
-        g = gram_block(func_exps, s)
         if hol:
             gh = g[0]
             g = [[x - row[0] * y / gh[0] for x, y in zip(row[1:], gh[1:])]
@@ -342,14 +353,12 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
         weights = [b for _, b in func_exps[hol:]]
         y = [[x / (bi * bj) for x, bj in zip(row, weights)]
              for row, bi in zip(g, weights)]
-        g_form = gram_block(form_exps, s)
         gi, g_den = _integer_rows(g_form)
         yi, y_den = _integer_rows(y)
         rows = [gr + yr for gr, yr in zip(gi, yi)]
         det = _bareiss(rows)[-1]
         # rows[t][nf + k] = det (gi^-1 yi)[t][k], and G_form = gi / g_den,
         # Y = yi / y_den, so (Y^T W)_kk = g_den (yi^T gi^-1 yi)_kk / y_den^2
-        nf = len(form_exps)
         for k in range(nf):
             num = sum(yi[t][k] * rows[t][nf + k] for t in range(nf))
             best = max(best, Fraction(g_den * num, y_den * y_den * det) / g_form[k][k])

@@ -5,13 +5,21 @@ tuples (not just increasing ones), and the operators are written in their
 textbook index form.  Agreement with the library's increasing-index
 bookkeeping then checks every epsilon sign through a genuinely different
 code path.
+
+The Galerkin solutions are recomputed per charge block in exact Fractions
+from the textbook normal equations, with no use of the closed forms the
+library solves by.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from dbarn.forms import CPolynomial, FormPoly
+from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block
 
 FullTensor = dict[tuple[int, ...], CPolynomial]
 
@@ -116,3 +124,67 @@ def wedge_full(phi: FormPoly, omega: FormPoly) -> FormPoly:
         if not total.is_zero():
             out[key] = total
     return canonical_from_full(out, n, q + 1)
+
+
+# -- exact Galerkin solutions ------------------------------------------------------
+
+
+def fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
+                   ) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination with row pivoting on Fractions."""
+    n = len(mat)
+    a = [row[:] + r[:] for row, r in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("exact system is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def exact_galerkin_solutions(fvec: np.ndarray, d: int, s: int
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical solution of dbar u = f and the Neumann solution N_s f, exactly.
+
+    fvec holds form coefficients over the degree-(d-1) basis; each float is
+    an exact dyadic Fraction.  Per charge kappa (form block of charge kappa,
+    function block of charge kappa - 1, dbar block A read off the rule
+    dbar z^a zbar^b = b z^a zbar^(b-1)), with G the function Gram and G_f the
+    form Gram from ``gram_block``:
+
+        X = G^-1 A^T,  M = A X,  y = M^-1 f,  u = X y,  N_s f = G_f^-1 y,
+
+    the least-norm solution of the normal equations and the inverse of
+    A A* = M G_f.  Only the final coefficients become floats.  Fine to d = 12.
+    """
+    basis, form_basis = MonomialBasis(d), MonomialBasis(d - 1)
+    canonical = np.zeros(basis.dim, dtype=complex)
+    neumann = np.zeros(form_basis.dim, dtype=complex)
+    for charge in range(-(d - 1), d):
+        form_exps = charge_exponents(charge, d - 1)
+        func_exps = charge_exponents(charge - 1, d)
+        form_index = {e: i for i, e in enumerate(form_exps)}
+        nf, nu = len(form_exps), len(func_exps)
+        a_t = [[Fraction(0)] * nf for _ in range(nu)]
+        for j, (a, b) in enumerate(func_exps):
+            if b:
+                a_t[j][form_index[(a, b - 1)]] = Fraction(b)
+        x = fraction_solve(gram_block(func_exps, s), a_t)
+        m = [[sum(a_t[t][i] * x[t][j] for t in range(nu)) for j in range(nf)]
+             for i in range(nf)]
+        f = [fvec[form_basis.index_of(*e)] for e in form_exps]
+        y = fraction_solve(m, [[Fraction(c.real), Fraction(c.imag)] for c in f])
+        u = [[sum(x[i][t] * y[t][k] for t in range(nf)) for k in (0, 1)]
+             for i in range(nu)]
+        n_f = fraction_solve(gram_block(form_exps, s), y)
+        for e, (re, im) in zip(func_exps, u):
+            canonical[basis.index_of(*e)] = complex(float(re), float(im))
+        for e, (re, im) in zip(form_exps, n_f):
+            neumann[form_basis.index_of(*e)] = complex(float(re), float(im))
+    return canonical, neumann

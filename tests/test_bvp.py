@@ -17,7 +17,13 @@ from dbarn.bvp import (
     solve_interval_fd,
 )
 from dbarn.forms import CPolynomial, CRational, random_cpolynomial
-from dbarn.geometry import SampledField, fd_weights, plateau_bump, ws_inner_sampled
+from dbarn.geometry import (
+    SampledField,
+    default_geometry,
+    fd_weights,
+    plateau_bump,
+    ws_inner_sampled,
+)
 from dbarn.multiindex import enumerate_up_to, gamma
 
 
@@ -197,6 +203,13 @@ def test_k_mode_cap(geom_fine):
     op = DiscKOperator(geom_fine, mode_max=4)
     with pytest.raises(ValueError, match="truncation"):
         op.unit_profile(9)
+
+
+@pytest.mark.parametrize("mode_max", [-1, 5000])
+def test_k_mode_max_outside_grid_is_refused(mode_max):
+    geom = default_geometry(radial_nodes=200, angular_nodes=16)
+    with pytest.raises(ValueError, match="0..8"):
+        DiscKOperator(geom, mode_max=mode_max)
 
 
 def test_boundary_data_zero_for_interior_support(geom_fine):

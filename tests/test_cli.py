@@ -62,6 +62,31 @@ def test_neumann_and_hodge_subcommands(tmp_path, form_file):
     assert main(["hodge", "--s", "1", "--d", "10", "--f", str(form_file)]) == 0
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 20, 40])
+def test_canonical_passes_across_the_degree_cap(tmp_path, s, d):
+    # closed form, no Gram factorization: valid up to the cap d = 40, where the
+    # float Cholesky of the Gram has long broken down
+    comp = CPolynomial.z(1, 1) if d > 1 else CPolynomial.const(1, 1)
+    path = tmp_path / "f.form"
+    path.write_text(form_to_text(FormPoly(1, 1, {(1,): comp})))
+    out = tmp_path / "canonical.json"
+    code = main(["canonical", "--s", str(s), "--d", str(d), "--f", str(path),
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("subcommand", ["neumann", "hodge"])
+def test_float_breakdown_is_one_error_line(capsys, form_file, subcommand):
+    with pytest.raises(SystemExit) as err:
+        main([subcommand, "--s", "0", "--d", "30", "--f", str(form_file)])
+    message = str(err.value)
+    assert message.startswith("error:") and "\n" not in message
+    assert "not numerically positive definite" in message
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("subcommand,degree", [("canonical", 4), ("neumann", 4),
                                                ("hodge", 5)])
 def test_over_degree_form_is_a_clean_error(tmp_path, subcommand, degree):

@@ -17,12 +17,12 @@ from dbarn.neumann import (
     domain_projection,
     greens_identity_check,
     hodge_decompose,
-    neumann_operator_norm_proxy,
     neumann_operator_norm_proxy_exact,
     neumann_solve,
     verify_gram_positive_definite_exact,
 )
 from dbarn.sobolev import MonomialBasis, SobolevGram, charge_exponents, gram_block
+from oracles import exact_galerkin_solutions, fraction_solve
 
 DZBAR = FormPoly(1, 1, {(1,): CPolynomial.const(1, 1)})
 
@@ -113,6 +113,33 @@ def test_canonical_orthogonality_random(cx1, rng):
         assert sol.kernel_orthogonality < 1e-10 * cx1.form_gram.norm(f)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_canonical_at_the_degree_cap_needs_no_factorization(s, rng):
+    cx = DiscreteComplex.build(40, s)
+    with pytest.raises(ValueError, match="not numerically positive definite"):
+        cx.gram.cholesky()
+    for f in (DZBAR, FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}),
+              FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 6)})):
+        sol = canonical_solve_dbar(f, cx=cx)
+        assert sol.residual < 1e-10
+        assert sol.kernel_orthogonality < 1e-10
+
+
+def relative_error(coeffs: np.ndarray, exact: np.ndarray) -> float:
+    return float(np.max(np.abs(coeffs - exact)) / np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_galerkin_solutions_match_exact_oracle(s, rng):
+    cx = DiscreteComplex.build(12, s)
+    for _ in range(3):
+        f = (rng.standard_normal(cx.form_basis.dim)
+             + 1j * rng.standard_normal(cx.form_basis.dim))
+        canonical, neumann = exact_galerkin_solutions(f, 12, s)
+        assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, canonical) <= 1e-14
+        assert relative_error(neumann_solve(f, cx=cx).coeffs, neumann) <= 1e-8
+
+
 # -- the Neumann solve ----------------------------------------------------------------
 
 
@@ -132,12 +159,6 @@ def test_neumann_reconstruction(s, rng):
         assert sol.canonical_match < 1e-8
 
 
-def test_neumann_proxy_float_matches_exact():
-    for s in (0, 1):
-        assert abs(neumann_operator_norm_proxy(10, s)
-                   - neumann_operator_norm_proxy_exact(10, s)) < 1e-6
-
-
 def test_neumann_proxy_stable_across_degrees():
     # the criterion-9 grid
     for s in (0, 1, 2):
@@ -152,25 +173,6 @@ def test_exact_positive_definiteness():
 
 
 # -- the exact backend against Fraction Gauss-Jordan ------------------------------------
-
-
-def fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
-                   ) -> list[list[Fraction]]:
-    """Reference: Gauss-Jordan elimination with row pivoting on Fractions."""
-    n = len(mat)
-    a = [row[:] + r[:] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("exact system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def three_solve_proxy_exact(d: int, s: int) -> float:
