@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .forms import CPolynomial
 from .geometry import (
@@ -233,6 +230,9 @@ def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, n
             vals.append(wv)
         row += 1
 
+    import scipy.sparse  # on first use: the Galerkin commands never load scipy
+    import scipy.sparse.linalg
+
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
     sol = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
     return x, sol
@@ -344,6 +344,8 @@ class DiscKOperator:
             raise ValueError(f"mode {m} beyond the truncation {self.mode_max}")
         prof = self._profiles.get(m)
         if prof is None:
+            import scipy.linalg
+
             rhs = np.zeros(self.geom.n_r)
             rhs[-1] = 1.0
             prof = scipy.linalg.solve_banded((2, 2), self._mode_matrix(m), rhs)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import acceptance, bvp, ellipticity, forms, geometry, neumann
 from .acceptance import DEFAULT_SEED
+from .sobolev import MonomialBasis
 
 SCHEMA_VERSION = 1
 
@@ -229,12 +231,20 @@ def _cmd_kop(config: RunConfig) -> int:
 
 
 def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
+    """Every nonzero coefficient, since the certificates are exact on all of
+    them: at high degree the ones below 1e-13 carry enough W^s norm to move the
+    residual of a Neumann solution from 1e-15 to 1e-10."""
     rows = []
     for i, (a, b) in enumerate(basis.exponents):
         c = complex(coeffs[i])
-        if abs(c) > 1e-13:
+        if c:
             rows.append({"z_power": a, "zbar_power": b, "re": c.real, "im": c.imag})
     return rows
+
+
+# canonical, neumann and hodge take an exact form, so they solve exactly, one
+# charge block at a time, and certify the float64 coefficients they print
+# exactly (see neumann's exact per-charge solves).
 
 
 def _cmd_canonical(config: RunConfig) -> int:
@@ -242,9 +252,8 @@ def _cmd_canonical(config: RunConfig) -> int:
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d - 1)
-    cx = neumann.DiscreteComplex.build(config.d, s)
-    sol = neumann.canonical_solve_dbar(phi, cx=cx)
-    rows = _form_rows(cx.basis, sol.coeffs)
+    sol = neumann.canonical_solve_dbar(phi, s=s, d=config.d)
+    rows = _form_rows(MonomialBasis(config.d), sol.coeffs)
     payload = {
         "s": s, "d": config.d,
         "residual": {"value": sol.residual, "tolerance": 1e-10},
@@ -260,12 +269,8 @@ def _cmd_neumann(config: RunConfig) -> int:
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d - 1)
-    cx = neumann.DiscreteComplex.build(config.d, s)
-    try:
-        sol = neumann.neumann_solve(phi, cx=cx)
-    except ValueError as exc:  # the float Gram factorization broke down
-        raise SystemExit(f"error: {exc}") from None
-    rows = _form_rows(cx.form_basis, sol.coeffs)
+    sol = neumann.neumann_solve(phi, s=s, d=config.d)
+    rows = _form_rows(MonomialBasis(config.d - 1), sol.coeffs)
     payload = {
         "s": s, "d": config.d,
         "residual": {"value": sol.residual, "tolerance": 1e-8},
@@ -282,26 +287,23 @@ def _cmd_hodge(config: RunConfig) -> int:
     _check_cap("--s", s, "s_neumann")
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d)
-    cx = neumann.DiscreteComplex.build(config.d, s)
-    try:
-        f1, f2 = neumann.hodge_decompose(phi, cx=cx)
-    except ValueError as exc:  # the float Gram factorization broke down
-        raise SystemExit(f"error: {exc}") from None
-    n1, n2 = cx.gram.norm(f1), cx.gram.norm(f2)
-    cross = abs(cx.gram.inner(f1, f2))
-    # the normalized defect is only meaningful when both parts carry mass
-    if min(n1, n2) > 1e-12 * max(n1, n2, 1.0):
-        ortho = cross / (n1 * n2)
-    else:
-        ortho = 0.0
+    f1, f2 = neumann.hodge_decompose(phi, s=s, d=config.d)
+    (g11, g12), (_, g22) = neumann.coefficient_gram_exact([f1, f2], config.d, s)
+    n1, n2 = math.sqrt(math.pi * g11.re), math.sqrt(math.pi * g22.re)
+    # |<f1, f2>_s| / (|f1|_s |f1 + f2|_s): the printed range part's component
+    # along the remainder, relative to the input.  Dividing by |f2|_s instead
+    # would measure the float64 rounding of f1 against a remainder that can be
+    # 1e-8 of f at the top degree, and fail correctly rounded splits.
+    total = g11.re + 2 * g12.re + g22.re
+    ortho = math.sqrt((g12.re**2 + g12.im**2) / (g11.re * total)) if g11.re else 0.0
     payload = {
         "s": s, "d": config.d,
         "range_part_norm": n1,
         "orthogonal_part_norm": n2,
         "orthogonality_defect": {"value": ortho, "tolerance": 1e-10},
         "pass": ortho <= 1e-10,
-        "range_part": _form_rows(cx.basis, f1),
-        "orthogonal_part": _form_rows(cx.basis, f2),
+        "range_part": _form_rows(MonomialBasis(config.d), f1),
+        "orthogonal_part": _form_rows(MonomialBasis(config.d), f2),
     }
     return _emit(config, payload)
 
@@ -408,8 +410,9 @@ CSV columns by subcommand:
   blowup:             eps, norm, pairing
   kop (with --input): r, theta, re, im              (the solved field)
 
-Thread count: the heavy lifting is BLAS-level linear algebra; set
-OMP_NUM_THREADS / OPENBLAS_NUM_THREADS to control it.
+Thread count: the sampled-grid work is BLAS-level linear algebra; set
+OMP_NUM_THREADS / OPENBLAS_NUM_THREADS to control it.  canonical, neumann
+and hodge solve exactly on Python integers, in one thread.
 """
 
 
@@ -509,7 +512,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(f"error: {config_path}: {key} = {raw!r} is not "
                                  f"a valid {convert.__name__}") from None
     config = RunConfig(**values)
-    return HANDLERS[config.subcommand](config)
+    try:
+        code = HANDLERS[config.subcommand](config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``dbarn ... | head``): send what is still
+        # buffered to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

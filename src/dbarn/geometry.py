@@ -30,9 +30,12 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 R_EXCLUDE = 0.05  # tangential fields are not formed at or below this radius
 DEFAULT_STENCIL_SPACING = 0.012
@@ -196,6 +199,8 @@ class DiscGeometry:
             raise ValueError("full-grid radial derivatives support orders 1 and 2")
 
         def build() -> scipy.sparse.csr_matrix:
+            import scipy.sparse  # on first use: the Galerkin commands never load scipy
+
             n = self.n_r
             width = 5
             rows, cols, vals = [], [], []

@@ -18,11 +18,17 @@ Contents:
     b > 0 has the single entry b, in form row z^a zbar^(b-1), and the
     holomorphic columns are zero, so A A^T = diag(b^2).  The canonical
     solution is then closed form, with no Gram factored, and the Neumann
-    solution costs one solve with the cached form-Gram Cholesky factor
-    (dbar* N f is the canonical solution, Kohn's formula); a second solve,
-    with the function Gram, checks it,
+    solution costs one Gram solve (dbar* N f is the canonical solution,
+    Kohn's formula); a second solve, with the function Gram, checks it,
   * the Hodge-type splitting of a form into its dbar-range part and the
     orthogonal remainder,
+  * the input kind picks the arithmetic: a float coefficient vector is
+    solved in float64 on the dense, cached Grams (``DiscreteComplex``); a
+    form, whose coefficients are exact rationals, is solved exactly one
+    charge block at a time, on the charges it touches, with no dense Gram,
+    and its certificates are exact on the rounded coefficients,
+  * exact operator-norm and positive-definiteness certificates on the same
+    charge blocks,
   * the integration-by-parts (Green) identity connecting <dbar phi, psi>_s,
     <phi, theta psi>_s and the weighted boundary pairing, with every piece
     exact,
@@ -34,8 +40,11 @@ Contents:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -54,7 +63,7 @@ from .sobolev import (
     SobolevGram,
     assemble_gram,
     charge_exponents,
-    gram_block,
+    gram_block_rows,
     inner_s_exact,
     leading_subgram,
 )
@@ -77,6 +86,13 @@ def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows + deg + 2, rows - deg * (deg + 1) // 2 + 1
 
 
+def _check_size(d: int, s: int) -> None:
+    if not 0 <= s <= MAX_NEUMANN_S:
+        raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
+    if not 1 <= d <= MAX_NEUMANN_D:
+        raise ValueError(f"basis degree must lie in 1..{MAX_NEUMANN_D}")
+
+
 @dataclass
 class DiscreteComplex:
     """dbar: functions of degree <= d -> form components of degree <= d-1,
@@ -91,10 +107,7 @@ class DiscreteComplex:
 
     @classmethod
     def build(cls, d: int, s: int) -> "DiscreteComplex":
-        if not 0 <= s <= MAX_NEUMANN_S:
-            raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
-        if not 1 <= d <= MAX_NEUMANN_D:
-            raise ValueError(f"basis degree must lie in 1..{MAX_NEUMANN_D}")
+        _check_size(d, s)
         basis = MonomialBasis(d)
         gram = assemble_gram(basis, s)
         form_gram = leading_subgram(gram, d - 1)
@@ -104,12 +117,6 @@ class DiscreteComplex:
         mat[np.arange(form_basis.dim), cols] = b
         return cls(s=s, basis=basis, form_basis=form_basis, gram=gram,
                    form_gram=form_gram, dbar_matrix=mat)
-
-    # -- coefficient plumbing ----------------------------------------------------
-
-    def form_coeffs(self, phi: FormPoly | CPolynomial) -> np.ndarray:
-        comp = phi.component((1,)) if isinstance(phi, FormPoly) else phi
-        return self.form_basis.coefficients_of(comp)
 
     def holomorphic_indices(self) -> np.ndarray:
         """Indices of z^k, k = 0..d: in the degree-graded basis z^k sits at k(k+1)/2."""
@@ -134,7 +141,8 @@ def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram,
 class LeastNormSolution:
     coeffs: np.ndarray
     residual: float              # |dbar u - f|_s relative to |f|_s
-    kernel_orthogonality: float  # max |<u, z^k>_s|
+    # max_k |<u, z^k>_s|; for a form input, exact and divided by |u|_s |z^k|_s
+    kernel_orthogonality: float
 
 
 def _least_norm(cx: DiscreteComplex, fvec: np.ndarray, cols: np.ndarray,
@@ -158,20 +166,22 @@ def canonical_solve_dbar(f, s: int | None = None, d: int | None = None,
                          cx: DiscreteComplex | None = None) -> LeastNormSolution:
     """Least-W^s-norm solution of dbar u = f, orthogonal to the holomorphics.
 
-    f may be a FormPoly / CPolynomial of degree <= d-1 or a coefficient
-    vector over the form basis.  The solution is written down, not solved
-    for (see ``_least_norm``): no Gram is factored, so it holds up to the
-    degree cap.  The residual and the kernel orthogonality are measured on
-    the returned coefficients.
+    f may be a FormPoly / CPolynomial of degree <= d-1, solved exactly
+    (``_canonical_exact``), or a float coefficient vector over the form
+    basis, solved in float64.  The solution is written down, not solved for
+    (see ``_least_norm``): no Gram is factored, so it holds up to the degree
+    cap.  The residual and the kernel orthogonality are measured on the
+    returned coefficients.
     """
+    if not isinstance(f, np.ndarray):
+        return _canonical_exact(f, *_exact_size(s, d, cx))
     if cx is None:
         cx = DiscreteComplex.build(d, s)
-    fvec = f if isinstance(f, np.ndarray) else cx.form_coeffs(f)
     cols, b = _dbar_pattern(cx.basis.degree)
-    u = _least_norm(cx, fvec, cols, b)
+    u = _least_norm(cx, f, cols, b)
 
-    fnorm = cx.form_gram.norm(fvec)
-    resid = cx.form_gram.norm(b * u[cols] - fvec) / fnorm if fnorm else 0.0  # A u - f
+    fnorm = cx.form_gram.norm(f)
+    resid = cx.form_gram.norm(b * u[cols] - f) / fnorm if fnorm else 0.0  # A u - f
     ortho = float(np.max(np.abs(cx.gram.matrix[cx.holomorphic_indices()] @ u)))
     return LeastNormSolution(coeffs=u, residual=resid, kernel_orthogonality=ortho)
 
@@ -195,19 +205,23 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
     Gram factor.  The check is independent of that identity: w = A* u comes
     from a second solve, with the function Gram, and the residual
     |A w - f|_s / |f|_s and the match |w - v|_s are measured on it.
+
+    A FormPoly / CPolynomial f is solved exactly, one charge at a time
+    (``_neumann_exact``); a float coefficient vector in float64 as above.
     """
+    if not isinstance(f, np.ndarray):
+        return _neumann_exact(f, *_exact_size(s, d, cx))
     if cx is None:
         cx = DiscreteComplex.build(d, s)
-    fvec = f if isinstance(f, np.ndarray) else cx.form_coeffs(f)
     cols, b = _dbar_pattern(cx.basis.degree)
-    v = _least_norm(cx, fvec, cols, b)
+    v = _least_norm(cx, f, cols, b)
     u = cx.form_gram.solve((cx.gram.matrix @ v)[cols] / b)
 
     a_t_gu = np.zeros(cx.basis.dim, dtype=u.dtype)
     a_t_gu[cols] = b * (cx.form_gram.matrix @ u)
     w = cx.gram.solve(a_t_gu)  # A* u
-    fnorm = cx.form_gram.norm(fvec)
-    resid = cx.form_gram.norm(b * w[cols] - fvec) / fnorm if fnorm else 0.0
+    fnorm = cx.form_gram.norm(f)
+    resid = cx.form_gram.norm(b * w[cols] - f) / fnorm if fnorm else 0.0
     ratio = cx.form_gram.norm(u) / fnorm if fnorm else 0.0
     return NeumannSolution(coeffs=u, residual=resid, norm_ratio=ratio,
                            canonical_match=cx.gram.norm(w - v))
@@ -221,21 +235,19 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
     f is a coefficient vector over the full degree-d basis (or a form whose
     component may reach degree d).  In one variable at top degree the
     remainder is purely a truncation artifact: it vanishes whenever f lies
-    in the degree-(d-1) range of the discrete dbar.
+    in the degree-(d-1) range of the discrete dbar.  A form is split exactly,
+    one charge at a time (``_hodge_exact``); a float vector in float64.
     """
+    if not isinstance(f, np.ndarray):
+        return _hodge_exact(f, *_exact_size(s, d, cx))
     if cx is None:
         cx = DiscreteComplex.build(d, s)
-    if isinstance(f, np.ndarray):
-        fvec = f
-    else:
-        comp = f.component((1,)) if isinstance(f, FormPoly) else f
-        fvec = cx.basis.coefficients_of(comp)
     k = cx.form_basis.dim
-    rhs = (cx.gram.matrix @ fvec)[:k]
+    rhs = (cx.gram.matrix @ f)[:k]
     c = cx.form_gram.solve(rhs)
-    f1 = np.zeros_like(fvec)
+    f1 = np.zeros_like(f)
     f1[:k] = c
-    return f1, fvec - f1
+    return f1, f - f1
 
 
 # -- exact rational block backend -------------------------------------------------
@@ -243,23 +255,29 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 # The monomial Gram decomposes into charge blocks (charge = z-exponent minus
 # zbar-exponent) that are shifted Hilbert matrices; beyond degree ~25 their
 # float64 factorization breaks down even though the matrices are exactly
-# positive definite.  dbar shifts charge by +1, so the Neumann operator
-# factors over charges into blocks of size <= (d+2)/2.  The routines below
-# certify positivity and bound the operator on those blocks exactly, from the
-# closed-form fractions of ``sobolev.gram_block``:
+# positive definite.  dbar shifts charge by +1, so the Galerkin problems
+# factor over charges into blocks of size <= (d+2)/2.  The routines below
+# certify positivity, bound the operator and solve exactly on those blocks,
+# from the integer rows of ``sobolev.gram_block_rows``:
 #
-#   * the dbar normal matrix M = A G_func^-1 A^T of a charge is inverted in
-#     closed form by the block-inverse (Schur complement) identity, see
-#     ``neumann_operator_norm_proxy_exact``;
+#   * in basis order the dbar block of a form charge kappa is A = [0 | D]:
+#     the function column h = z^(kappa-1) (present when kappa >= 1) is
+#     holomorphic and every other column (a, b) maps to the form row
+#     (a, b-1) with weight b, so D = diag(b) (``_charge_setups`` asserts
+#     this per charge).  The dbar normal matrix M = A G_func^-1 A^T is then
+#     inverted in closed form by the block-inverse (Schur complement)
+#     identity, Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1;
 #   * every elimination that remains is fraction-free (Bareiss, Math. Comp.
-#     22, 1968): a block is scaled to integers by the lcm of its
-#     denominators and eliminated on Python ints, each step dividing exactly
-#     by the previous pivot; only its final quotients become Fractions.
-#     The pivots are the leading principal minors, which
-#     by Sylvester's criterion are all positive exactly when the block is
-#     positive definite.
+#     22, 1968): a block is an integer matrix over one denominator and is
+#     eliminated on Python ints, each step dividing exactly by the previous
+#     pivot; only its final quotients become Fractions.  The pivots are the
+#     leading principal minors, which by Sylvester's criterion are all
+#     positive exactly when the block is positive definite;
+#   * complex vectors are kept as integer real and imaginary parts over one
+#     denominator (``_Scaled``); a float64 is an exact dyadic rational, so the
+#     certificates of a rounded solution are exact too.
 #
-# Only final scalars become floats.
+# Only final scalars and printed coefficients become floats.
 
 
 def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
@@ -292,20 +310,179 @@ def _bareiss(rows: list[list[int]]) -> list[int]:
     return minors
 
 
-def _positive_definite_exact(mat: list[list[Fraction]]) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive."""
-    rows, _ = _integer_rows(mat)
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _matvec(rows: list[list[int]], x: list[int]) -> list[int]:
+    return [_dot(row, x) for row in rows]
+
+
+def _positive_definite_exact(rows: list[list[int]]) -> bool:
+    """Sylvester's criterion on integer rows (any positive multiple of the
+    matrix): every leading principal minor is positive."""
     try:
         return all(m > 0 for m in _bareiss(rows))
     except ValueError:  # a zero minor
         return False
 
 
+def _leading(rows: list[list[int]], den: int, n: int) -> tuple[list[list[int]], int]:
+    """The leading n x n part of the block rows / den, over its own lcm denominator."""
+    lead = [row[:n] for row in rows[:n]]
+    g = math.gcd(den, *(x for row in lead for x in row))
+    return [[x // g for x in row] for row in lead], den // g
+
+
+@dataclass
+class _Scaled:
+    """A complex rational vector (re + i im) / den with integer parts."""
+
+    re: list[int]
+    im: list[int]
+    den: int
+
+    @classmethod
+    def of(cls, pairs) -> "_Scaled":
+        """From (real, imaginary) pairs of Fractions, ints or floats (exact dyadics)."""
+        (re, im), den = _integer_rows([[Fraction(x) for x, _ in pairs],
+                                       [Fraction(y) for _, y in pairs]])
+        return cls(re, im, den)
+
+    @classmethod
+    def of_complex(cls, values) -> "_Scaled":
+        return cls.of([(c.real, c.imag) for c in values])
+
+    def rounded(self) -> list[complex]:
+        """The nearest complex float64 of each entry (an int quotient is correctly rounded)."""
+        return [complex(x / self.den, y / self.den) for x, y in zip(self.re, self.im)]
+
+    def tail(self, start: int) -> "_Scaled":
+        return _Scaled(self.re[start:], self.im[start:], self.den)
+
+    def weighted(self, weights: list[int]) -> "_Scaled":
+        return _Scaled([w * x for w, x in zip(weights, self.re)],
+                       [w * x for w, x in zip(weights, self.im)], self.den)
+
+    def minus(self, other: "_Scaled") -> "_Scaled":
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return _Scaled([p * x - q * y for x, y in zip(self.re, other.re)],
+                       [p * x - q * y for x, y in zip(self.im, other.im)], den)
+
+    def times(self, rows: list[list[int]], den: int) -> "_Scaled":
+        """G x for the real G = rows / den."""
+        return _Scaled(_matvec(rows, self.re), _matvec(rows, self.im), den * self.den)
+
+    def conj_dot(self, other: "_Scaled") -> CRational:
+        """other^H x."""
+        den = self.den * other.den
+        return CRational(Fraction(_dot(other.re, self.re) + _dot(other.im, self.im), den),
+                         Fraction(_dot(other.re, self.im) - _dot(other.im, self.re), den))
+
+    def norm2(self, rows: list[list[int]], den: int) -> Fraction:
+        """x^H G x for the real symmetric G = rows / den."""
+        return self.times(rows, den).conj_dot(self).re
+
+
+def _solve(rows: list[list[int]], rhs: _Scaled, scale: int) -> _Scaled:
+    """x with (rows / scale) x = rhs, for a positive definite integer block."""
+    n = len(rows)
+    work = [row + [a, b] for row, a, b in zip(rows, rhs.re, rhs.im)]
+    det = _bareiss(work)[-1]
+    return _Scaled([scale * row[n] for row in work], [scale * row[n + 1] for row in work],
+                   det * rhs.den)
+
+
+def _normal_inverse(func: list[list[int]], den: int, hol: int,
+                    weights: list[int]) -> tuple[list[list[int]], int]:
+    """Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1 as integer rows over their lcm.
+
+    With G = func / den the Schur complement is (p G_SS - G_Sh G_hS) / (den p),
+    p = func[0][0]; D^-1 . D^-1 multiplies entry (i, j) by c_i c_j / lcm(b)^2
+    with c_i = lcm(b) / b_i.
+    """
+    if hol:
+        gh, p = func[0], func[0][0]
+        t = [[p * x - row[0] * y for x, y in zip(row[1:], gh[1:])] for row in func[1:]]
+        den *= p
+    else:
+        t = func
+    lb = math.lcm(*weights)
+    c = [lb // b for b in weights]
+    y = [[x * ci * cj for x, cj in zip(row, c)] for row, ci in zip(t, c)]
+    den *= lb * lb
+    g = math.gcd(den, *(x for row in y for x in row))
+    return [[x // g for x in row] for row in y], den // g
+
+
+@dataclass
+class _ChargeSetup:
+    """The exact blocks of one form charge kappa at basis degree d.
+
+    The degree-d Gram block of charge kappa (``exps``, ``block`` / ``den``)
+    has the form block (degree d - 1, its first ``nf`` exponents) as its
+    leading part, and is the function block of charge kappa + 1.
+    """
+
+    charge: int
+    exps: list[tuple[int, int]]
+    block: list[list[int]]
+    den: int
+    nf: int
+    form: list[list[int]]         # G_form = form / form_den, the leading nf x nf part
+    form_den: int
+    func_exps: list[tuple[int, int]]  # charge kappa - 1, degree d
+    func: list[list[int]]         # G_func = func / func_den
+    func_den: int
+    hol: int                      # 1 when the first function column z^(kappa-1) is holomorphic
+    weights: list[int]            # b of the other function columns, D = diag(b)
+
+    @cached_property
+    def normal_inverse(self) -> tuple[list[list[int]], int]:
+        """Y = M^-1 as integer rows over their denominator."""
+        return _normal_inverse(self.func, self.func_den, self.hol, self.weights)
+
+    def least_norm(self, f: _Scaled) -> _Scaled:
+        """The canonical solution of A v = f, v_S = D^-1 f and v_h = -(G_hS v_S) / G_hh."""
+        lb = math.lcm(*self.weights)
+        v = f.weighted([lb // b for b in self.weights])
+        if not self.hol:
+            return _Scaled(v.re, v.im, v.den * lb)
+        h, p = self.func[0][1:], self.func[0][0]
+        return _Scaled([-_dot(h, v.re)] + [p * x for x in v.re],
+                       [-_dot(h, v.im)] + [p * x for x in v.im], v.den * lb * p)
+
+
+def _charge_setups(d: int, s: int, charges) -> Iterator[_ChargeSetup]:
+    """The set-up of each form charge in ``charges`` (ascending, within |kappa| < d).
+
+    Each degree-d block is built once: when the charges run consecutively the
+    block of one charge is reused as the function block of the next.
+    """
+    prev = None
+    for charge in charges:
+        if prev is not None and prev.charge == charge - 1:
+            func_exps, func, func_den = prev.exps, prev.block, prev.den
+        else:
+            func_exps = charge_exponents(charge - 1, d)
+            func, func_den = gram_block_rows(func_exps, s)
+        exps = charge_exponents(charge, d)
+        block, den = gram_block_rows(exps, s)
+        nf = len(charge_exponents(charge, d - 1))
+        hol = 1 if func_exps[0][1] == 0 else 0
+        assert [(a, b - 1) for a, b in func_exps[hol:]] == exps[:nf]
+        form, form_den = _leading(block, den, nf)
+        prev = _ChargeSetup(charge, exps, block, den, nf, form, form_den, func_exps, func,
+                            func_den, hol, [b for _, b in func_exps[hol:]])
+        yield prev
+
+
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
     """Certify positive definiteness of the degree-d W^s Gram, exactly."""
     for charge in range(-d, d + 1):
-        exps = charge_exponents(charge, d)
-        if exps and not _positive_definite_exact(gram_block(exps, s)):
+        rows, _ = gram_block_rows(charge_exponents(charge, d), s)
+        if rows and not _positive_definite_exact(rows):
             return False
     return True
 
@@ -315,54 +492,174 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
 
     For a form basis vector e_k in charge block kappa, the solve reads
     y = M^-1 e_k with M = A G_func^-1 A^T, and |N_s e_k|_s^2 = y^T G_form^-1 y;
-    both Grams and the integer dbar block A live on single charges.  In basis
-    order A = [0 | D]: the function column h = z^(kappa-1) (present when
-    kappa >= 1) is holomorphic, and every other column (a, b) maps to the form
-    row (a, b-1) with weight b, so D = diag(b).  The block-inverse (Schur
-    complement) identity then gives M^-1 in closed form,
-
-        Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1,
-
-    over the non-holomorphic columns S (D^-1 G_SS D^-1 with no h).  The only
-    elimination left is G_form W = Y, done fraction-free on integers, and
-    |N_s e_k|_s^2 = (Y^T W)_kk.
-
-    Each degree-d block is built once: the basis is degree graded, so the
-    form block of charge kappa (degree d - 1) is its leading block, and the
-    whole block is the function block of the next charge.
+    both Grams and the integer dbar block A live on single charges.  M^-1 is
+    the closed-form Y of ``_normal_inverse``, so the only elimination left is
+    G_form W = Y, done fraction-free on integers, and |N_s e_k|_s^2 = (Y^T W)_kk.
     """
     if s < 0 or s > MAX_NEUMANN_S:
         raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
     best = Fraction(0)
-    exps = charge_exponents(-d, d)
-    block = gram_block(exps, s)
-    for charge in range(-(d - 1), d):
-        func_exps, g = exps, block  # charge - 1, degree d
-        exps = charge_exponents(charge, d)
-        block = gram_block(exps, s)
-        form_exps = charge_exponents(charge, d - 1)
-        nf = len(form_exps)
-        assert exps[:nf] == form_exps
-        g_form = [row[:nf] for row in block[:nf]]  # charge, degree d - 1
-        hol = 1 if func_exps[0][1] == 0 else 0
-        assert [(a, b - 1) for a, b in func_exps[hol:]] == form_exps
-        if hol:
-            gh = g[0]
-            g = [[x - row[0] * y / gh[0] for x, y in zip(row[1:], gh[1:])]
-                 for row in g[1:]]
-        weights = [b for _, b in func_exps[hol:]]
-        y = [[x / (bi * bj) for x, bj in zip(row, weights)]
-             for row, bi in zip(g, weights)]
-        gi, g_den = _integer_rows(g_form)
-        yi, y_den = _integer_rows(y)
-        rows = [gr + yr for gr, yr in zip(gi, yi)]
+    for cs in _charge_setups(d, s, range(-(d - 1), d)):
+        y, y_den = cs.normal_inverse
+        nf = cs.nf
+        rows = [g + yr for g, yr in zip(cs.form, y)]
         det = _bareiss(rows)[-1]
-        # rows[t][nf + k] = det (gi^-1 yi)[t][k], and G_form = gi / g_den,
-        # Y = yi / y_den, so (Y^T W)_kk = g_den (yi^T gi^-1 yi)_kk / y_den^2
+        # rows[t][nf + k] = det (form^-1 y)[t][k], with G_form = form / form_den and
+        # Y = y / y_den: (Y^T W)_kk / G_form[k][k]
+        #   = form_den^2 (y^T form^-1 y)_kk / (y_den^2 form[k][k])
         for k in range(nf):
-            num = sum(yi[t][k] * rows[t][nf + k] for t in range(nf))
-            best = max(best, Fraction(g_den * num, y_den * y_den * det) / g_form[k][k])
+            num = sum(y[t][k] * rows[t][nf + k] for t in range(nf))
+            best = max(best, Fraction(cs.form_den**2 * num, y_den**2 * det * cs.form[k][k]))
     return math.sqrt(float(best))
+
+
+# -- exact per-charge Galerkin solves ---------------------------------------------
+#
+# A form (exact rationals) is solved one charge at a time, on the charges it
+# touches only.  The solution is rounded to float64 and every certificate is
+# then computed exactly on the rounded coefficients, so a certificate
+# measures the printed answer, not the arithmetic that produced it.
+
+
+def _charges_of(f, max_degree: int) -> dict[int, dict[tuple[int, int], CRational]]:
+    """The terms of a (0,1)-form or polynomial in one variable, grouped by charge."""
+    comp = f.component((1,)) if isinstance(f, FormPoly) else f
+    if comp.n != 1:
+        raise ValueError("the disc complex takes forms in one complex variable")
+    if comp.degree() > max_degree:
+        raise ValueError(f"a form of degree {comp.degree()} is outside the basis of "
+                         f"degree {max_degree}")
+    out: dict[int, dict[tuple[int, int], CRational]] = {}
+    for (a, b), c in comp.terms.items():
+        out.setdefault(a[0] - b[0], {})[(a[0], b[0])] = c
+    return out
+
+
+def _coefficients(terms: dict[tuple[int, int], CRational],
+                  exps: list[tuple[int, int]]) -> _Scaled:
+    return _Scaled.of([(terms[e].re, terms[e].im) if e in terms else (0, 0) for e in exps])
+
+
+def _exact_size(s: int | None, d: int | None,
+                cx: DiscreteComplex | None) -> tuple[int, int]:
+    """(d, s) of an exact solve: the complex's when one is given (its Grams are
+    not used), else checked as ``DiscreteComplex.build`` checks them."""
+    if cx is not None:
+        return cx.basis.degree, cx.s
+    _check_size(d, s)
+    return d, s
+
+
+def _place(out: np.ndarray, basis: MonomialBasis, exps: list[tuple[int, int]],
+           values: list[complex]) -> None:
+    for e, c in zip(exps, values):
+        out[basis.index_of(*e)] = c
+
+
+def _canonical_exact(f, d: int, s: int) -> LeastNormSolution:
+    """``canonical_solve_dbar`` for a form: the closed form in exact arithmetic.
+
+    The certificates are exact on the returned float64 coefficients u:
+    the residual |A u - f|_s / |f|_s, and the kernel orthogonality
+    max_k |<u, z^k>_s| / (|u|_s |z^k|_s) over the holomorphic monomials.
+    """
+    terms = _charges_of(f, d - 1)
+    basis = MonomialBasis(d)
+    coeffs = np.zeros(basis.dim, dtype=complex)
+    f2 = r2 = u2 = Fraction(0)
+    kernel = Fraction(0)  # max over charges of |<u, z^k>|^2 / |z^k|^2
+    for cs in _charge_setups(d, s, sorted(terms)):
+        fs = _coefficients(terms[cs.charge], cs.exps[:cs.nf])
+        u = cs.least_norm(fs).rounded()
+        _place(coeffs, basis, cs.func_exps, u)
+        ut = _Scaled.of_complex(u)
+        f2 += fs.norm2(cs.form, cs.form_den)
+        r2 += ut.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.form_den)
+        u2 += ut.norm2(cs.func, cs.func_den)
+        if cs.hol:  # <u, z^k> = (G u)_h; the func_den factors cancel in the ratio
+            h = cs.func[0]
+            kernel = max(kernel, Fraction(_dot(h, ut.re) ** 2 + _dot(h, ut.im) ** 2,
+                                          h[0] * cs.func_den * ut.den**2))
+    return LeastNormSolution(
+        coeffs=coeffs,
+        residual=math.sqrt(r2 / f2) if f2 else 0.0,
+        kernel_orthogonality=math.sqrt(kernel / u2) if u2 else 0.0)
+
+
+def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
+    """``neumann_solve`` for a form: per charge, G_form u = Y f by one fraction-free
+    solve with two right-hand sides (the real and imaginary parts).
+
+    The check is independent of the closed-form Y: w = A* u comes from a
+    second exact solve, G_func w = A^T G_form u, on the rounded u, and the
+    residual |A w - f|_s / |f|_s and the match |w - v|_s with the exact
+    canonical solution v are exact on it.
+    """
+    terms = _charges_of(f, d - 1)
+    form_basis = MonomialBasis(d - 1)
+    coeffs = np.zeros(form_basis.dim, dtype=complex)
+    f2 = r2 = u2 = m2 = Fraction(0)
+    for cs in _charge_setups(d, s, sorted(terms)):
+        form_exps = cs.exps[:cs.nf]
+        fs = _coefficients(terms[cs.charge], form_exps)
+        u = _solve(cs.form, fs.times(*cs.normal_inverse), cs.form_den).rounded()
+        _place(coeffs, form_basis, form_exps, u)
+        ut = _Scaled.of_complex(u)
+        b_gu = ut.times(cs.form, cs.form_den).weighted(cs.weights)
+        pad = [0] * cs.hol  # A^T G_form u is zero on the holomorphic column
+        w = _solve(cs.func, _Scaled(pad + b_gu.re, pad + b_gu.im, b_gu.den), cs.func_den)
+        f2 += fs.norm2(cs.form, cs.form_den)
+        r2 += w.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.form_den)
+        u2 += ut.norm2(cs.form, cs.form_den)
+        m2 += w.minus(cs.least_norm(fs)).norm2(cs.func, cs.func_den)
+    return NeumannSolution(
+        coeffs=coeffs,
+        residual=math.sqrt(r2 / f2) if f2 else 0.0,
+        norm_ratio=math.sqrt(u2 / f2) if f2 else 0.0,
+        canonical_match=math.sqrt(math.pi * m2))
+
+
+def _hodge_exact(f, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``hodge_decompose`` for a form: per charge, G_form c = (G f)_form by one
+    fraction-free solve; the range part is c rounded, the remainder f minus it."""
+    terms = _charges_of(f, d)
+    basis = MonomialBasis(d)
+    f1 = np.zeros(basis.dim, dtype=complex)
+    f2 = np.zeros(basis.dim, dtype=complex)
+    for charge in sorted(terms):
+        exps = charge_exponents(charge, d)
+        fs = _coefficients(terms[charge], exps)
+        nf = len(charge_exponents(charge, d - 1))
+        c = [0j] * len(exps)
+        if nf:
+            block, den = gram_block_rows(exps, s)
+            form, form_den = _leading(block, den, nf)
+            c[:nf] = _solve(form, fs.times(block[:nf], den), form_den).rounded()
+        _place(f1, basis, exps, c)
+        _place(f2, basis, exps, fs.minus(_Scaled.of_complex(c)).rounded())
+    return f1, f2
+
+
+def coefficient_gram_exact(vectors: list[np.ndarray], degree: int,
+                           s: int) -> list[list[CRational]]:
+    """Exact <v_i, v_j>_s / pi between coefficient vectors over the degree-``degree`` basis.
+
+    Each float64 is an exact dyadic rational.  Charges are W^s-orthogonal, so
+    only the blocks of charges where some vector is nonzero are built.
+    """
+    basis = MonomialBasis(degree)
+    charges = sorted({a - b for v in vectors for (a, b), c in zip(basis.exponents, v) if c})
+    out = [[QC_ZERO] * len(vectors) for _ in vectors]
+    for charge in charges:
+        exps = charge_exponents(charge, degree)
+        rows, den = gram_block_rows(exps, s)
+        idx = [basis.index_of(a, b) for a, b in exps]
+        parts = [_Scaled.of_complex(v[idx]) for v in vectors]
+        for i, p in enumerate(parts):
+            gp = p.times(rows, den)
+            for j, q in enumerate(parts):  # <p, q>_s / pi = q^H G p
+                out[i][j] = out[i][j] + gp.conj_dot(q)
+    return out
 
 
 # -- exact Green identity -------------------------------------------------------

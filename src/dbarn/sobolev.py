@@ -22,9 +22,10 @@ same-charge entry in closed form:
     <z^a zbar^b, z^c zbar^d>_s / pi
         = sum_{k<=s} 2^k * 2/(a+b+c+d-2k+2) * sum_i C(k,i) (a)_i (c)_i (b)_{k-i} (d)_{k-i}
 
-with (x)_i the falling factorial.  ``gram_block`` evaluates it as exact
-Fractions; the dense float Gram and the exact per-charge solvers both read
-their entries from it.  The symbolic ``inner_s_exact`` (derivatives of
+with (x)_i the falling factorial.  ``gram_block_rows`` evaluates it exactly,
+as integer rows over one common denominator; the dense float Gram and the
+exact per-charge solvers both read their entries from it, and ``gram_block``
+is its Fraction view.  The symbolic ``inner_s_exact`` (derivatives of
 polynomials, then disc integrals) stays as the independent oracle.
 """
 
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .forms import CPolynomial, CRational, QC_ZERO
 from .multiindex import enumerate_up_to, gamma
@@ -163,6 +163,8 @@ class SobolevGram:
         return self.basis.dim
 
     def cholesky(self) -> tuple[np.ndarray, bool]:
+        import scipy.linalg  # on first use: the exact solvers never need it
+
         if self._cho is None:
             try:
                 self._cho = scipy.linalg.cho_factor(self.matrix)
@@ -174,6 +176,8 @@ class SobolevGram:
         return self._cho
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         return scipy.linalg.cho_solve(self.cholesky(), rhs)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
@@ -206,34 +210,60 @@ def charge_exponents(charge: int, max_degree: int) -> list[tuple[int, int]]:
     return out
 
 
-def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
-    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, closed form."""
+def gram_block_rows(exps: list[tuple[int, int]], s: int) -> tuple[list[list[int]], int]:
+    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, closed form,
+    as integer rows over one denominator.
+
+    Returns (rows, den) with entry (i, j) equal to rows[i][j] / den, where den
+    is the lcm of the entries' reduced denominators: the integer form the
+    fraction-free eliminator of the exact solvers takes.
+    """
     if s < 0:
         raise ValueError("s must be non-negative")
     if len({a - b for a, b in exps}) > 1:
         raise ValueError("gram_block needs exponents of a single charge")
     weights = [[2**k * math.comb(k, i) for i in range(k + 1)] for k in range(s + 1)]
-    perm = math.perm  # falling factorial; 0 when the derivative kills the monomial
+    # falling factorials (a)_t and (b)_t, t <= s; 0 when the derivative kills the monomial
+    falling = [([math.perm(a, t) for t in range(s + 1)],
+                [math.perm(b, t) for t in range(s + 1)]) for a, b in exps]
     n = len(exps)
-    block = [[Fraction(0)] * n for _ in range(n)]
-    for i, (a, b) in enumerate(exps):
+    # entry (i, j) = sum over k of 2 num_k / (a+b+c+d-2k+2), kept as (2 num_k, denominator)
+    terms = [[()] * n for _ in range(n)]
+    dens = set()
+    for i, (fa, fb) in enumerate(falling):
         for j in range(i, n):
-            c, d = exps[j]
-            total = Fraction(0)
+            fc, fd = falling[j]
+            top = sum(exps[i]) + sum(exps[j]) + 2
+            entry = []
             for k, row in enumerate(weights):
-                num = sum(w * perm(a, t) * perm(c, t) * perm(b, k - t) * perm(d, k - t)
-                          for t, w in enumerate(row))
+                num = sum(w * fa[t] * fc[t] * fb[k - t] * fd[k - t] for t, w in enumerate(row))
                 if num:
-                    total += Fraction(2 * num, a + b + c + d - 2 * k + 2)
-            block[i][j] = block[j][i] = total
-    return block
+                    entry.append((2 * num, top - 2 * k))
+                    dens.add(top - 2 * k)
+            terms[i][j] = entry
+    common = math.lcm(*dens)
+    scale = {q: common // q for q in dens}
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = sum(num * scale[q] for num, q in terms[i][j])
+    g = math.gcd(common, *(x for row in rows for x in row))
+    return [[x // g for x in row] for row in rows], common // g
+
+
+def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
+    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, as Fractions."""
+    rows, den = gram_block_rows(exps, s)
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
     """Gram matrix of <. , .>_s on the basis, cached per (degree, s).
 
-    Each charge block comes exact from ``gram_block`` and is scattered into
-    the dense matrix as float(entry) * pi; cross-charge entries are zero.
+    Each charge block comes exact from ``gram_block_rows`` and is scattered
+    into the dense matrix as float(entry) * pi; cross-charge entries are zero.
+    An int quotient is correctly rounded, so ``row_entry / den`` is the float
+    of the reduced fraction.
     """
     if s < 0 or s > MAX_S:
         raise ValueError(f"s must lie in 0..{MAX_S}")
@@ -248,8 +278,8 @@ def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
     for charge in range(-basis.degree, basis.degree + 1):
         exps = charge_exponents(charge, basis.degree)
         idx = [basis.index_of(a, b) for a, b in exps]
-        block = [[float(x) * math.pi for x in row] for row in gram_block(exps, s)]
-        mat[np.ix_(idx, idx)] = block
+        rows, den = gram_block_rows(exps, s)
+        mat[np.ix_(idx, idx)] = [[x / den * math.pi for x in row] for row in rows]
 
     # Cholesky is computed lazily: the monomial basis carries Hilbert-type
     # charge blocks whose float64 factorization breaks down around degree 25;

@@ -188,3 +188,32 @@ def exact_galerkin_solutions(fvec: np.ndarray, d: int, s: int
         for e, (re, im) in zip(form_exps, n_f):
             neumann[form_basis.index_of(*e)] = complex(float(re), float(im))
     return canonical, neumann
+
+
+def exact_hodge_split(fvec: np.ndarray, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The range part of f (the W^s projection onto the degree-(d-1) form space)
+    and the remainder f minus that part rounded, per charge by Fraction
+    Gauss-Jordan on G_f c = (G f)_form.
+
+    fvec holds coefficients over the degree-d basis, each float an exact
+    dyadic Fraction.  Only the two returned vectors become floats.
+    """
+    basis = MonomialBasis(d)
+    f1 = np.zeros(basis.dim, dtype=complex)
+    f2 = np.zeros(basis.dim, dtype=complex)
+    for charge in range(-d, d + 1):
+        exps = charge_exponents(charge, d)
+        form_exps = charge_exponents(charge, d - 1)
+        idx = [basis.index_of(*e) for e in exps]
+        f = [[Fraction(fvec[i].real), Fraction(fvec[i].imag)] for i in idx]
+        c = [[Fraction(0), Fraction(0)] for _ in exps]
+        if form_exps:
+            g = gram_block(exps, s)
+            gf = [[sum(g[i][t] * f[t][k] for t in range(len(exps))) for k in (0, 1)]
+                  for i in range(len(form_exps))]
+            c[:len(form_exps)] = [[Fraction(float(x)) for x in row]
+                                  for row in fraction_solve(gram_block(form_exps, s), gf)]
+        for i, fi, ci in zip(idx, f, c):
+            f1[i] = complex(float(ci[0]), float(ci[1]))
+            f2[i] = complex(float(fi[0] - ci[0]), float(fi[1] - ci[1]))
+    return f1, f2

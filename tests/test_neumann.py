@@ -251,7 +251,7 @@ def test_bareiss_minors_are_the_leading_principal_minors(rng):
     rows, _ = _integer_rows(mat)
     minors = _bareiss([row[:] for row in rows])
     assert minors == [laplace_det([row[:k] for row in rows[:k]]) for k in range(1, 7)]
-    assert _positive_definite_exact(mat)
+    assert _positive_definite_exact(rows)
 
 
 def test_singular_system_raises():
@@ -263,14 +263,17 @@ def test_singular_system_raises():
 
 
 def test_minors_route_rejects_non_positive_definite():
-    assert _positive_definite_exact([[Fraction(1), Fraction(1, 2)],
-                                     [Fraction(1, 2), Fraction(1, 3)]])
+    def positive_definite(mat):
+        return _positive_definite_exact(_integer_rows(mat)[0])
+
+    assert positive_definite([[Fraction(1), Fraction(1, 2)],
+                              [Fraction(1, 2), Fraction(1, 3)]])
     # indefinite: leading minors 1 and -3
-    assert not _positive_definite_exact([[Fraction(1), Fraction(2)],
-                                         [Fraction(2), Fraction(1)]])
+    assert not positive_definite([[Fraction(1), Fraction(2)],
+                                  [Fraction(2), Fraction(1)]])
     # singular symmetric rational: second minor is 1/9 - 1/9 = 0
-    assert not _positive_definite_exact([[Fraction(1, 2), Fraction(1, 3)],
-                                         [Fraction(1, 3), Fraction(2, 9)]])
+    assert not positive_definite([[Fraction(1, 2), Fraction(1, 3)],
+                                  [Fraction(1, 3), Fraction(2, 9)]])
 
 
 # -- Hodge splitting ------------------------------------------------------------------

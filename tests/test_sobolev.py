@@ -15,6 +15,7 @@ from dbarn.sobolev import (
     assemble_gram,
     charge_exponents,
     gram_block,
+    gram_block_rows,
     inner_monomial_L2,
     inner_s_direct,
     inner_s_exact,
@@ -161,6 +162,21 @@ def test_gram_block_matches_symbolic_oracle():
                     oracle = inner_s_exact(p, q, s)
                     assert oracle.im == 0
                     assert block[i][j] == oracle.re, (exps[i], exps[j], s)
+
+
+def test_gram_block_rows_are_over_the_least_common_denominator():
+    # the integer form the exact eliminator takes: no factor common to every
+    # entry and the denominator is left in, so the integers are as small as
+    # scaling the reduced fractions by the lcm of their denominators makes them
+    for d in (1, 6, 13, 24):
+        for s in range(5):
+            for charge in range(-d, d + 1):
+                exps = charge_exponents(charge, d)
+                rows, den = gram_block_rows(exps, s)
+                fractions = gram_block(exps, s)
+                assert den == math.lcm(*(x.denominator for row in fractions for x in row))
+                assert rows == [[x.numerator * (den // x.denominator) for x in row]
+                                for row in fractions]
 
 
 def test_gram_block_rejects_mixed_charges():
