@@ -294,15 +294,19 @@ class DiscKOperator:
     """The s = 1 adjoint-correction operator on the unit disc.
 
     Solves omega - Lap(omega) = 0 with Neumann datum N(omega) = data per
-    angular Fourier mode; unit-response radial profiles are cached per |m|.
-    The 3-point stencils do not depend on m, so the banded radial operator
-    is built once and each mode only adds its diagonal term -m^2/r^2 - 1.
+    angular Fourier mode; unit-response radial profiles are cached per |m|
+    and gathered into one (n_r, M) stack, so a solve scales every column by
+    its mode amplitude in a single broadcast.  The 3-point stencils do not depend
+    on m, so the banded radial operator is built once and each mode only
+    adds its diagonal term -m^2/r^2 - 1.
     """
 
     geom: DiscGeometry
     mode_max: int | None = None
     _band: np.ndarray = field(init=False, repr=False)
     _profiles: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    _stack: np.ndarray = field(init=False, repr=False)
+    _stack_done: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         top = self.geom.n_theta // 2
@@ -322,6 +326,11 @@ class DiscKOperator:
             band[[3, 2, 1], [i - 1, i, i + 1]] = w[2] + w[1] / r[i]
         band[[4, 3, 2], [n - 3, n - 2, n - 1]] = fd_weights(r[n - 3:], 1.0, 1)[1]
         self._band = band
+        # unit profiles as (n_r, M) columns in the FFT's wavenumber order; a
+        # column is solved when a mode first carries data, and the columns
+        # of modes above mode_max stay zero
+        self._stack = np.zeros((n, self.geom.n_theta))
+        self._stack_done = np.abs(self.geom.theta_wavenumbers()) > self.mode_max
 
     # -- radial mode solves -----------------------------------------------------
 
@@ -359,14 +368,12 @@ class DiscKOperator:
         if data.shape != (geom.n_theta,):
             raise ValueError("data must be sampled on the angular grid")
         hat = np.fft.fft(data) / geom.n_theta
-        wavenumbers = geom.theta_wavenumbers().astype(int)
-        spectrum = np.zeros((geom.n_r, geom.n_theta), dtype=complex)
-        for idx, m in enumerate(wavenumbers):
-            if abs(m) > self.mode_max or hat[idx] == 0:
-                continue
-            spectrum[:, idx] = hat[idx] * self.unit_profile(m) * geom.n_theta
-        values = np.fft.ifft(spectrum, axis=1)
-        return SampledField(geom, values)
+        for idx in np.flatnonzero((hat != 0) & ~self._stack_done):
+            self._stack[:, idx] = self.unit_profile(geom.theta_wavenumbers()[idx])
+            self._stack_done[idx] = True
+        spectrum = hat * self._stack
+        spectrum *= geom.n_theta  # (hat * profile) * M, column by column
+        return SampledField(geom, np.fft.ifft(spectrum, axis=1, out=spectrum))
 
     # -- boundary data of the order-2 operator ----------------------------------
 
@@ -384,20 +391,15 @@ class DiscKOperator:
         psi_b = psi.boundary_values()
         data = psi_b * rho_z
 
-        dpsi_dtheta = psi.theta_derivative().boundary_values()
+        dpsi_dtheta = _circle_theta_derivative(geom, psi_b)
         dpsi_dr = normal_derivative(psi, 1)
         c = (-np.sin(theta), np.cos(theta))
         nu = (np.cos(theta), np.sin(theta))
-        k = geom.theta_wavenumbers()
-        nyq = geom.n_theta // 2
         for j in (0, 1):
             d_j_psi = c[j] * dpsi_dtheta + nu[j] * dpsi_dr
             t_j = d_j_psi * rho_z
             # Y_j^* t = -d/dtheta (c_j t), spectrally
-            prod = c[j] * t_j
-            mult = 1j * k
-            mult[nyq] = 0.0
-            data -= np.fft.ifft(np.fft.fft(prod) * mult)
+            data -= _circle_theta_derivative(geom, c[j] * t_j)
         return data
 
     def apply(self, psi: SampledField | CPolynomial) -> SampledField:
@@ -405,6 +407,11 @@ class DiscKOperator:
         if isinstance(psi, CPolynomial):
             psi = SampledField.from_polynomial(self.geom, psi)
         return self.solve_with_boundary_data(self.boundary_data(psi))
+
+
+def _circle_theta_derivative(geom: DiscGeometry, values: np.ndarray) -> np.ndarray:
+    """d/dtheta of M samples on the circle, spectrally (Nyquist mode dropped)."""
+    return np.fft.ifft(np.fft.fft(values) * geom.theta_multiplier(1))
 
 
 def dbar_component_sampled(u: SampledField) -> SampledField:

@@ -114,16 +114,20 @@ def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPo
     return phi
 
 
-def _emit(config: RunConfig, payload: dict, rows: list[dict] | None = None) -> int:
+def _emit(config: RunConfig, payload: dict,
+          table: tuple[tuple[str, ...], list[dict]] | None = None) -> int:
+    """Print (and with --out write) the JSON record; with --csv write the
+    table, given as its column names and rows, so an empty table is a header."""
     payload = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
                "seed": config.seed, **payload}
     text = json.dumps(payload, sort_keys=True, indent=2, default=str)
     if config.out:
         Path(config.out).write_text(text + "\n")
     print(text)
-    if rows is not None and config.csv_out:
+    if table is not None and config.csv_out:
+        columns, rows = table
         with open(config.csv_out, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(handle, fieldnames=columns)
             writer.writeheader()
             writer.writerows(rows)
     ok = payload.get("pass", True)
@@ -161,7 +165,7 @@ def _cmd_ellipticity(config: RunConfig) -> int:
         "pass": report.passed,
         "samples": rows,
     }
-    return _emit(config, payload, rows)
+    return _emit(config, payload, (("xi", "det", "det_scaled", "pass"), rows))
 
 
 def _cmd_bvp1d(config: RunConfig) -> int:
@@ -227,7 +231,10 @@ def _cmd_kop(config: RunConfig) -> int:
                             for i, m in enumerate(wavenumbers) if hat[i] > 1e-14]
         if config.csv_out:
             result.to_csv(config.csv_out)  # columns r, theta, re, im
-    return _emit(config, payload, None)
+    return _emit(config, payload)
+
+
+FORM_COLUMNS = ("z_power", "zbar_power", "re", "im")
 
 
 def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
@@ -238,7 +245,7 @@ def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
     for i, (a, b) in enumerate(basis.exponents):
         c = complex(coeffs[i])
         if c:
-            rows.append({"z_power": a, "zbar_power": b, "re": c.real, "im": c.imag})
+            rows.append(dict(zip(FORM_COLUMNS, (a, b, c.real, c.imag))))
     return rows
 
 
@@ -261,7 +268,7 @@ def _cmd_canonical(config: RunConfig) -> int:
         "pass": sol.residual <= 1e-10 and sol.kernel_orthogonality <= 1e-10,
         "solution": rows,
     }
-    return _emit(config, payload, rows)
+    return _emit(config, payload, (FORM_COLUMNS, rows))
 
 
 def _cmd_neumann(config: RunConfig) -> int:
@@ -279,7 +286,7 @@ def _cmd_neumann(config: RunConfig) -> int:
         "pass": sol.residual <= 1e-8 and sol.canonical_match <= 1e-8,
         "solution": rows,
     }
-    return _emit(config, payload, rows)
+    return _emit(config, payload, (FORM_COLUMNS, rows))
 
 
 def _cmd_hodge(config: RunConfig) -> int:
@@ -328,7 +335,7 @@ def _cmd_greens(config: RunConfig) -> int:
         "max_residual": {"value": worst, "tolerance": 1e-10},
         "pass": worst <= 1e-10,
     }
-    return _emit(config, payload, rows)
+    return _emit(config, payload, (("trial", "lhs_re", "boundary_re", "residual"), rows))
 
 
 def _cmd_blowup(config: RunConfig) -> int:
@@ -351,7 +358,7 @@ def _cmd_blowup(config: RunConfig) -> int:
         "rows": rows,
         "pass": -0.35 <= rep.slope <= -0.15 and rep.norm_ratio <= 1.5,
     }
-    return _emit(config, payload, rows)
+    return _emit(config, payload, (("eps", "norm", "pairing"), rows))
 
 
 def _cmd_verify_all(config: RunConfig) -> int:

@@ -17,6 +17,13 @@ Radial derivatives use Fornberg finite-difference weights on the nonuniform
 node line; angular derivatives are spectral (FFT).  Fields sampled on the
 grid carry complex values of shape (n_r, M).
 
+Sampled W^s inner products are summed per angular Fourier mode: by Parseval
+the trapezoidal theta sum of f conj(g) on the uniform grid is 1/M times the
+sum of F conj(G) over the DFT modes, so theta derivatives become per-mode
+multipliers and no inverse FFT is taken.  This is the same quadrature as the
+grid sum; only the rounding differs, by about 1e-15 relative (more only where
+the terms cancel, as the r^-2 terms of an s = 2 norm do near the origin).
+
 Tangential decomposition on the disc: D_1 = Y_1 + nu_1 N and
 D_2 = Y_2 + nu_2 N with Y_1 = -(sin theta / r) d/dtheta and
 Y_2 = (cos theta / r) d/dtheta.  The decomposition is meaningless near the
@@ -221,6 +228,37 @@ class DiscGeometry:
             lambda: np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta),
         )
 
+    def theta_multiplier(self, order: int) -> np.ndarray:
+        """Read-only spectral multiplier (ik)^order of d^order/dtheta^order;
+        odd orders drop the Nyquist mode, whose derivative is not real."""
+
+        def build() -> np.ndarray:
+            mult = (1j * self.theta_wavenumbers()) ** order
+            if order % 2:
+                mult[self.n_theta // 2] = 0.0
+            mult.flags.writeable = False
+            return mult
+
+        return self._cached(f"dtheta{order}", build)
+
+    def ws_weights(self) -> "WsWeights":
+        """Root weight tables of the per-mode W^s sums (see ``ws_inner_sampled``)."""
+
+        def build() -> WsWeights:
+            # trapezoid dtheta = 2 pi / M, and Parseval's 1 / M
+            area = (self.wr * self.r * (2.0 * math.pi / self.n_theta**2))[:, None]
+            k_odd = np.abs(self.theta_multiplier(1)) ** 2  # k^2, Nyquist dropped
+            inv_r = np.zeros((self.n_r, 1))
+            np.divide(1.0, self.r[:, None], out=inv_r, where=self.r[:, None] > 0.0)
+            root_area = np.sqrt(area)
+            return WsWeights(root_area=root_area,
+                             root_value_s1=np.sqrt(area * (1.0 + k_odd * inv_r**2)),
+                             root_h_rtheta=np.sqrt(2.0 * area * k_odd) * inv_r,
+                             root_h_thetatheta=root_area * inv_r,
+                             k_even=-self.theta_multiplier(2).real, inv_r=inv_r)
+
+        return self._cached("ws_weights", build)
+
     # -- integrals -------------------------------------------------------------
 
     def interior_integral(self, values: np.ndarray) -> complex:
@@ -231,6 +269,19 @@ class DiscGeometry:
     def boundary_integral(self, boundary_values: np.ndarray) -> complex:
         """Trapezoidal integral over the unit circle (arc measure dtheta)."""
         return complex(np.sum(boundary_values) * 2.0 * math.pi / self.n_theta)
+
+
+@dataclass(frozen=True)
+class WsWeights:
+    """Per-mode weights of the sampled W^s sums on one grid, as square roots
+    that scale each spectrum; every entry with a factor 1/r is zero at r = 0."""
+
+    root_area: np.ndarray          # (n_r, 1): sqrt of wr r 2 pi / M^2 ("area")
+    root_value_s1: np.ndarray      # (n_r, M): sqrt of area (1 + k^2 / r^2), for F when s >= 1
+    root_h_rtheta: np.ndarray      # (n_r, M): sqrt of 2 area k^2, over r, for F_r - F / r
+    root_h_thetatheta: np.ndarray  # (n_r, 1): sqrt of area, over r, for F_r - k^2 F / r
+    k_even: np.ndarray             # (M,): k^2 with the Nyquist mode kept, -(ik)^2
+    inv_r: np.ndarray              # (n_r, 1)
 
 
 @lru_cache(maxsize=8)
@@ -298,11 +349,7 @@ class SampledField:
         return self._wrap(mat @ self.values)
 
     def theta_derivative(self, order: int = 1) -> "SampledField":
-        k = self.geom.theta_wavenumbers()
-        mult = (1j * k) ** order
-        if order % 2:
-            mult = mult.copy()
-            mult[self.geom.n_theta // 2] = 0.0  # odd derivative: drop Nyquist
+        mult = self.geom.theta_multiplier(order)
         vals = np.fft.ifft(np.fft.fft(self.values, axis=1) * mult[None, :], axis=1)
         return self._wrap(vals)
 
@@ -382,29 +429,36 @@ def tangential_decompose(j: int, f: SampledField) -> tuple[SampledField, Sampled
     return SampledField(f.geom, yj), SampledField(f.geom, npart)
 
 
-def _frame_derivatives(f: SampledField, s: int) -> list[np.ndarray]:
-    """[f, f_r, f_theta, H_rr, H_rtheta, H_thetatheta] up to order s, each taken once.
+def _radial_spectrum(geom: DiscGeometry, order: int, spec: np.ndarray) -> np.ndarray:
+    """d^order/dr^order of an angular spectrum: the real stencil on its real view."""
+    return (geom.radial_derivative_matrix(order) @ spec.view(float)).view(complex)
 
-    The Hessian components are those of the orthonormal polar frame; rows at
-    r = 0 of the 1/r-scaled components are zeroed.
+
+def _ws_spectra(f: SampledField, s: int) -> list[np.ndarray]:
+    """Weighted angular spectra of [f, f_r, H_rr, H_rtheta, H_thetatheta] up to order s.
+
+    The Hessian components are those of the orthonormal polar frame, per mode
+    H_rtheta = ik (F_r - F / r) / r and H_thetatheta = (F_r - k^2 F / r) / r;
+    each spectrum is scaled in place by the root of its quadrature weight,
+    which carries the multiplier ik and the outer 1/r, so the squares of the
+    two differences are never expanded into cancelling cross terms.
     """
     geom = f.geom
-    out = [f.values]
+    w = geom.ws_weights()
+    spec = np.fft.fft(f.values, axis=1)
+    out = [spec]
     if s >= 1:
-        out += [f.radial_derivative(1).values, f.theta_derivative(1).values]
+        out.append(_radial_spectrum(geom, 1, spec))
     if s >= 2:
-        fr, ft = out[1], out[2]
-        frr = f.radial_derivative(2).values
-        ftt = f.theta_derivative(2).values
-        frt = SampledField(geom, fr).theta_derivative(1).values
-        r = geom.r[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_rt = frt / r - ft / r**2
-            h_tt = fr / r + ftt / r**2
-        zero_row = geom.r == 0.0
-        h_rt[zero_row, :] = 0.0
-        h_tt[zero_row, :] = 0.0
-        out += [frr, h_rt, h_tt]
+        h_rt = spec * w.inv_r            # F / r, then F_r - F / r
+        h_tt = h_rt * w.k_even           # k^2 F / r, then F_r - k^2 F / r
+        np.subtract(out[1], h_tt, out=h_tt)
+        np.subtract(out[1], h_rt, out=h_rt)
+        out += [_radial_spectrum(geom, 2, spec), h_rt, h_tt]
+    roots = [w.root_value_s1 if s else w.root_area, w.root_area, w.root_area,
+             w.root_h_rtheta, w.root_h_thetatheta]
+    for spectrum, root in zip(out, roots):
+        spectrum *= root
     return out
 
 
@@ -413,24 +467,16 @@ def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
 
     Uses the frame identities sum_j D_j f conj(D_j g) = f_r conj(g_r)
     + r^-2 f_theta conj(g_theta) and the analogous Hessian contraction, which
-    are exactly the gamma-weighted derivative sums of orders 1 and 2.
+    are exactly the gamma-weighted derivative sums of orders 1 and 2.  The
+    trapezoidal theta sum is taken per angular mode (Parseval), so each
+    theta derivative is its multiplier folded into a weight table, and each
+    term is one dot product of two weighted spectra.
     """
     if s not in (0, 1, 2):
         raise ValueError("sampled W^s inner products support s in {0, 1, 2}")
-    geom = f.geom
-    fd = _frame_derivatives(f, s)
-    gd = fd if g is f else _frame_derivatives(g, s)
-    total = geom.interior_integral(fd[0] * np.conj(gd[0]))
-    if s >= 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ang = fd[2] * np.conj(gd[2]) / geom.r[:, None]**2
-        ang[geom.r == 0.0, :] = 0.0
-        total += geom.interior_integral(fd[1] * np.conj(gd[1]) + ang)
-    if s >= 2:
-        integrand = (fd[3] * np.conj(gd[3]) + 2.0 * fd[4] * np.conj(gd[4])
-                     + fd[5] * np.conj(gd[5]))
-        total += geom.interior_integral(integrand)
-    return total
+    fs = _ws_spectra(f, s)
+    gs = fs if g is f else _ws_spectra(g, s)
+    return complex(sum(np.vdot(gk, fk) for fk, gk in zip(fs, gs)))
 
 
 def ws_norm_sampled(f: SampledField, s: int) -> float:

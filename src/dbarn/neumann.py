@@ -141,7 +141,7 @@ def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram,
 class LeastNormSolution:
     coeffs: np.ndarray
     residual: float              # |dbar u - f|_s relative to |f|_s
-    # max_k |<u, z^k>_s|; for a form input, exact and divided by |u|_s |z^k|_s
+    # max_k |<u, z^k>_s| / (|u|_s |z^k|_s); exact for a form input
     kernel_orthogonality: float
 
 
@@ -182,8 +182,22 @@ def canonical_solve_dbar(f, s: int | None = None, d: int | None = None,
 
     fnorm = cx.form_gram.norm(f)
     resid = cx.form_gram.norm(b * u[cols] - f) / fnorm if fnorm else 0.0  # A u - f
-    ortho = float(np.max(np.abs(cx.gram.matrix[cx.holomorphic_indices()] @ u)))
-    return LeastNormSolution(coeffs=u, residual=resid, kernel_orthogonality=ortho)
+    return LeastNormSolution(coeffs=u, residual=resid,
+                             kernel_orthogonality=_kernel_cosine(cx, u))
+
+
+def _kernel_cosine(cx: DiscreteComplex, u: np.ndarray) -> float:
+    """max_k |<u, z^k>_s| / (|u|_s |z^k|_s), from one Gram matvec: <u, z^k>_s
+    is (G u)[h] and |z^k|_s^2 is G[h, h]."""
+    g = cx.gram.matrix
+    # the real Gram times the real and imaginary parts of u as one real
+    # product, so g is never cast to a complex copy
+    gu = (g @ u.view(float).reshape(len(u), -1)).view(u.dtype).ravel()
+    u2 = float(np.vdot(u, gu).real)
+    if u2 <= 0.0:
+        return 0.0
+    holo = cx.holomorphic_indices()
+    return float(np.max(np.abs(gu[holo]) / np.sqrt(g[holo, holo]))) / math.sqrt(u2)
 
 
 @dataclass

@@ -9,6 +9,12 @@ code path.
 The Galerkin solutions are recomputed per charge block in exact Fractions
 from the textbook normal equations, with no use of the closed forms the
 library solves by.
+
+The sampled W^s inner product is recomputed on the grid, from derivative
+fields in the orthonormal polar frame, with no use of the angular Fourier
+domain the library sums in; the disc K operator's boundary data and mode
+recombination are recomputed with full-field theta derivatives and one
+mode at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from itertools import permutations
 
 import numpy as np
 
+from dbarn.bvp import DiscKOperator
 from dbarn.forms import CPolynomial, FormPoly
+from dbarn.geometry import SampledField, normal_derivative
 from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block
 
 FullTensor = dict[tuple[int, ...], CPolynomial]
@@ -217,3 +225,87 @@ def exact_hodge_split(fvec: np.ndarray, d: int, s: int) -> tuple[np.ndarray, np.
             f1[i] = complex(float(ci[0]), float(ci[1]))
             f2[i] = complex(float(fi[0] - ci[0]), float(fi[1] - ci[1]))
     return f1, f2
+
+
+# -- sampled fields on the disc ------------------------------------------------------
+
+
+def _frame_derivatives(f: SampledField, s: int) -> list[np.ndarray]:
+    """[f, f_r, f_theta, H_rr, H_rtheta, H_thetatheta] up to order s, each taken once.
+
+    The Hessian components are those of the orthonormal polar frame; rows at
+    r = 0 of the 1/r-scaled components are zeroed.
+    """
+    geom = f.geom
+    out = [f.values]
+    if s >= 1:
+        out += [f.radial_derivative(1).values, f.theta_derivative(1).values]
+    if s >= 2:
+        fr, ft = out[1], out[2]
+        frr = f.radial_derivative(2).values
+        ftt = f.theta_derivative(2).values
+        frt = SampledField(geom, fr).theta_derivative(1).values
+        r = geom.r[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_rt = frt / r - ft / r**2
+            h_tt = fr / r + ftt / r**2
+        zero_row = geom.r == 0.0
+        h_rt[zero_row, :] = 0.0
+        h_tt[zero_row, :] = 0.0
+        out += [frr, h_rt, h_tt]
+    return out
+
+
+def ws_inner_frame(f: SampledField, g: SampledField, s: int) -> complex:
+    """Quadrature W^s inner product of sampled fields, s in {0, 1, 2}, on the grid.
+
+    Uses the frame identities sum_j D_j f conj(D_j g) = f_r conj(g_r)
+    + r^-2 f_theta conj(g_theta) and the analogous Hessian contraction, which
+    are exactly the gamma-weighted derivative sums of orders 1 and 2.
+    """
+    geom = f.geom
+    fd = _frame_derivatives(f, s)
+    gd = fd if g is f else _frame_derivatives(g, s)
+    total = geom.interior_integral(fd[0] * np.conj(gd[0]))
+    if s >= 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ang = fd[2] * np.conj(gd[2]) / geom.r[:, None]**2
+        ang[geom.r == 0.0, :] = 0.0
+        total += geom.interior_integral(fd[1] * np.conj(gd[1]) + ang)
+    if s >= 2:
+        integrand = (fd[3] * np.conj(gd[3]) + 2.0 * fd[4] * np.conj(gd[4])
+                     + fd[5] * np.conj(gd[5]))
+        total += geom.interior_integral(integrand)
+    return total
+
+
+def k_boundary_data_full_field(op: DiscKOperator, psi: SampledField) -> np.ndarray:
+    """``DiscKOperator.boundary_data`` with psi differentiated in theta on the
+    whole grid before its boundary row is read."""
+    geom = op.geom
+    theta = geom.theta
+    rho_z = geom.rho_z_phase
+    data = psi.boundary_values() * rho_z
+    dpsi_dtheta = psi.theta_derivative().boundary_values()
+    dpsi_dr = normal_derivative(psi, 1)
+    c = (-np.sin(theta), np.cos(theta))
+    nu = (np.cos(theta), np.sin(theta))
+    mult = 1j * geom.theta_wavenumbers()
+    mult[geom.n_theta // 2] = 0.0
+    for j in (0, 1):
+        t_j = (c[j] * dpsi_dtheta + nu[j] * dpsi_dr) * rho_z
+        data -= np.fft.ifft(np.fft.fft(c[j] * t_j) * mult)
+    return data
+
+
+def k_solve_per_mode(op: DiscKOperator, data: np.ndarray) -> np.ndarray:
+    """``DiscKOperator.solve_with_boundary_data`` values, filled one wavenumber
+    column at a time."""
+    geom = op.geom
+    hat = np.fft.fft(np.asarray(data, dtype=complex)) / geom.n_theta
+    spectrum = np.zeros((geom.n_r, geom.n_theta), dtype=complex)
+    for idx, m in enumerate(geom.theta_wavenumbers().astype(int)):
+        if abs(m) > op.mode_max or hat[idx] == 0:
+            continue
+        spectrum[:, idx] = hat[idx] * op.unit_profile(m) * geom.n_theta
+    return np.fft.ifft(spectrum, axis=1)

@@ -25,6 +25,7 @@ from dbarn.geometry import (
     ws_inner_sampled,
 )
 from dbarn.multiindex import enumerate_up_to, gamma
+from oracles import k_boundary_data_full_field, k_solve_per_mode
 
 
 # -- the interval problem ---------------------------------------------------------
@@ -210,6 +211,30 @@ def test_k_mode_max_outside_grid_is_refused(mode_max):
     geom = default_geometry(radial_nodes=200, angular_nodes=16)
     with pytest.raises(ValueError, match="0..8"):
         DiscKOperator(geom, mode_max=mode_max)
+
+
+@pytest.mark.parametrize("mode_max", [None, 5])
+def test_k_stacked_recombination_equals_the_per_mode_loop(geom_fine, rng, mode_max):
+    op = DiscKOperator(geom_fine, mode_max=mode_max)
+    for _ in range(5):
+        data = rng.standard_normal(geom_fine.n_theta) + 1j * rng.standard_normal(
+            geom_fine.n_theta)
+        values = op.solve_with_boundary_data(data).values
+        assert np.array_equal(values, k_solve_per_mode(op, data))
+    if mode_max is not None:
+        # data above the truncation reaches no mode of the field
+        high = np.exp(7j * geom_fine.theta) + np.exp(-9j * geom_fine.theta)
+        spectrum = np.fft.fft(op.solve_with_boundary_data(high).values, axis=1)
+        wavenumbers = np.abs(geom_fine.theta_wavenumbers())
+        assert np.max(np.abs(spectrum[:, wavenumbers > mode_max])) < 1e-13
+
+
+def test_boundary_data_equals_the_full_field_theta_derivative(geom, rng):
+    op = DiscKOperator(geom)
+    shape = (geom.n_r, geom.n_theta)
+    for _ in range(20):
+        psi = SampledField(geom, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.array_equal(op.boundary_data(psi), k_boundary_data_full_field(op, psi))
 
 
 def test_boundary_data_zero_for_interior_support(geom_fine):

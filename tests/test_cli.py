@@ -12,9 +12,14 @@ import dbarn
 from dbarn.bvp import DiscKOperator, bessel_i_series, bessel_i_series_derivative
 from dbarn.cli import main
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
-from dbarn.geometry import default_geometry
+from dbarn.geometry import SampledField, default_geometry
 from dbarn.sobolev import MonomialBasis
-from oracles import exact_galerkin_solutions, exact_hodge_split
+from oracles import (
+    exact_galerkin_solutions,
+    exact_hodge_split,
+    k_boundary_data_full_field,
+    k_solve_per_mode,
+)
 
 
 @pytest.fixture
@@ -256,6 +261,37 @@ def test_kop_subcommand_with_input(tmp_path, form_file):
     assert payload["bessel_oracle_error"]["value"] <= 1e-6
     assert payload["solution_w1_norm"] > 0
     assert csv_out.read_text().splitlines()[0] == "r,theta,re,im"
+
+
+def test_kop_field_csv_is_the_per_mode_solve_of_full_field_data(tmp_path, form_file):
+    # the stacked recombination and the boundary-row derivative change no bit
+    # of the field kop writes
+    argv = ["kop", "--radial-nodes", "600", "--angular-nodes", "32",
+            "--input", str(form_file)]
+    csv_out = tmp_path / "field.csv"
+    assert main(argv + ["--csv", str(csv_out)]) == 0
+    geom = default_geometry(600, 32, 8)
+    op = DiscKOperator(geom)
+    psi = SampledField.from_polynomial(geom, CPolynomial.z(1, 1))
+    values = k_solve_per_mode(op, k_boundary_data_full_field(op, psi))
+    expected = tmp_path / "expected.csv"
+    SampledField(geom, values).to_csv(str(expected))
+    assert csv_out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["canonical", "neumann", "hodge"])
+def test_zero_form_writes_an_empty_table(tmp_path, capsys, command):
+    zero = tmp_path / "zero.form"
+    zero.write_text("(form (n 1) (q 1))\n")
+    csv_out = tmp_path / "out.csv"
+    code = main([command, "--s", "1", "--d", "5", "--f", str(zero),
+                 "--csv", str(csv_out)])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"{command}: pass")
+    if command == "hodge":  # its two coefficient lists stay in the JSON record
+        assert not csv_out.exists()
+    else:
+        assert csv_out.read_text().splitlines() == ["z_power,zbar_power,re,im"]
 
 
 def test_kop_honours_radial_nodes(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dbarn.bvp import DiscKOperator
 from dbarn.forms import random_cpolynomial
 from dbarn.geometry import (
     DiscGeometry,
@@ -16,6 +17,8 @@ from dbarn.geometry import (
     ws_norm_sampled,
 )
 from dbarn.sobolev import inner_s_direct
+
+from oracles import ws_inner_frame
 
 
 def radial(geom, fn):
@@ -184,6 +187,42 @@ def test_ws_inner_of_a_copy_equals_the_shared_path(geom, rng, s):
     f = SampledField(geom, values)
     copy = SampledField(geom, values.copy())
     assert ws_inner_sampled(f, copy, s) == ws_inner_sampled(f, f, s)
+
+
+def random_field(geom, rng):
+    shape = (geom.n_r, geom.n_theta)
+    return SampledField(geom, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_ws_inner_matches_the_grid_sum_oracle_on_random_fields(geom, rng, s):
+    # the per-mode (Parseval) sum is the grid's trapezoid sum reordered; the
+    # error is measured against |f|_s |g|_s, which bounds the inner product
+    for _ in range(3):
+        f, g = random_field(geom, rng), random_field(geom, rng)
+        scale = math.sqrt(ws_inner_frame(f, f, s).real * ws_inner_frame(g, g, s).real)
+        for a, b in ((f, f), (f, g), (g, f)):
+            assert abs(ws_inner_sampled(a, b, s) - ws_inner_frame(a, b, s)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 32])
+def test_ws_norm_matches_the_grid_sum_oracle_on_the_criterion_13_family(geom_fine, m):
+    psi = SampledField.from_polar(
+        geom_fine, lambda r, t: plateau_bump((1 - r) / 0.9) * np.exp(1j * m * t))
+    k_psi = DiscKOperator(geom_fine).apply(psi)
+    for field, s in ((k_psi, 1), (psi, 2)):
+        oracle = ws_inner_frame(field, field, s).real
+        assert abs(ws_inner_sampled(field, field, s).real - oracle) <= 1e-10 * oracle
+
+
+def test_theta_multipliers_are_shared_read_only(geom):
+    k = geom.theta_wavenumbers()
+    first = geom.theta_multiplier(1)
+    assert first is geom.theta_multiplier(1) and not first.flags.writeable
+    assert first[geom.n_theta // 2] == 0.0
+    assert np.array_equal(first, np.where(np.arange(geom.n_theta) == geom.n_theta // 2,
+                                          0.0, 1j * k))
+    assert np.array_equal(geom.theta_multiplier(2), -k * k)
 
 
 def test_ws_norm_rejects_large_s(geom):

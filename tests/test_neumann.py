@@ -9,6 +9,7 @@ from dbarn.neumann import (
     DiscreteComplex,
     _bareiss,
     _integer_rows,
+    _kernel_cosine,
     _positive_definite_exact,
     adjoint,
     blowup_experiment,
@@ -123,6 +124,29 @@ def test_canonical_at_the_degree_cap_needs_no_factorization(s, rng):
         sol = canonical_solve_dbar(f, cx=cx)
         assert sol.residual < 1e-10
         assert sol.kernel_orthogonality < 1e-10
+
+
+@pytest.mark.parametrize("d", [24, 32, 40])
+def test_float_kernel_orthogonality_is_a_cosine(d):
+    # normalized by |u|_s |z^k|_s it stays at rounding level as |u|_s grows
+    cx = DiscreteComplex.build(d, 2)
+    f = np.random.default_rng(d).standard_normal(cx.form_basis.dim)
+    sol = canonical_solve_dbar(f, cx=cx)
+    assert sol.residual < 1e-12
+    assert sol.kernel_orthogonality <= 1e-12
+
+
+def test_float_kernel_orthogonality_sees_a_holomorphic_part(cx1):
+    # dbar kills z^2, so the canonical solution of dbar (z^2 + zbar) = 1 is
+    # zbar; measured on u = zbar + z^2 the cosine is |z^2|_s / |u|_s
+    f = np.zeros(cx1.form_basis.dim)
+    f[cx1.form_basis.index_of(0, 0)] = 1.0
+    sol = canonical_solve_dbar(f, cx=cx1)
+    u = sol.coeffs.copy()
+    u[cx1.basis.index_of(2, 0)] += 1.0
+    z2 = np.zeros(cx1.basis.dim)
+    z2[cx1.basis.index_of(2, 0)] = 1.0
+    assert abs(_kernel_cosine(cx1, u) - cx1.gram.norm(z2) / cx1.gram.norm(u)) < 1e-12
 
 
 def relative_error(coeffs: np.ndarray, exact: np.ndarray) -> float:
