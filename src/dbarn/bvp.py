@@ -373,7 +373,7 @@ class DiscKOperator:
             self._stack_done[idx] = True
         spectrum = hat * self._stack
         spectrum *= geom.n_theta  # (hat * profile) * M, column by column
-        return SampledField(geom, np.fft.ifft(spectrum, axis=1, out=spectrum))
+        return SampledField(geom, np.fft.ifft(spectrum, axis=1))
 
     # -- boundary data of the order-2 operator ----------------------------------
 

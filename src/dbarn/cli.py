@@ -114,20 +114,20 @@ def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPo
     return phi
 
 
-def _emit(config: RunConfig, payload: dict,
-          table: tuple[tuple[str, ...], list[dict]] | None = None) -> int:
-    """Print (and with --out write) the JSON record; with --csv write the
-    table, given as its column names and rows, so an empty table is a header."""
+def _emit(config: RunConfig, payload: dict, rows: list[dict] | None = None,
+          columns: tuple[str, ...] | None = None) -> int:
+    """Print (and with --out write) the JSON record; with --csv write the rows.
+
+    A table that can be empty passes its columns, so it writes only a header."""
     payload = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
                "seed": config.seed, **payload}
     text = json.dumps(payload, sort_keys=True, indent=2, default=str)
     if config.out:
         Path(config.out).write_text(text + "\n")
     print(text)
-    if table is not None and config.csv_out:
-        columns, rows = table
+    if rows is not None and config.csv_out:
         with open(config.csv_out, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
+            writer = csv.DictWriter(handle, fieldnames=columns or list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     ok = payload.get("pass", True)
@@ -165,7 +165,7 @@ def _cmd_ellipticity(config: RunConfig) -> int:
         "pass": report.passed,
         "samples": rows,
     }
-    return _emit(config, payload, (("xi", "det", "det_scaled", "pass"), rows))
+    return _emit(config, payload, rows)
 
 
 def _cmd_bvp1d(config: RunConfig) -> int:
@@ -268,7 +268,7 @@ def _cmd_canonical(config: RunConfig) -> int:
         "pass": sol.residual <= 1e-10 and sol.kernel_orthogonality <= 1e-10,
         "solution": rows,
     }
-    return _emit(config, payload, (FORM_COLUMNS, rows))
+    return _emit(config, payload, rows, columns=FORM_COLUMNS)
 
 
 def _cmd_neumann(config: RunConfig) -> int:
@@ -286,7 +286,7 @@ def _cmd_neumann(config: RunConfig) -> int:
         "pass": sol.residual <= 1e-8 and sol.canonical_match <= 1e-8,
         "solution": rows,
     }
-    return _emit(config, payload, (FORM_COLUMNS, rows))
+    return _emit(config, payload, rows, columns=FORM_COLUMNS)
 
 
 def _cmd_hodge(config: RunConfig) -> int:
@@ -335,7 +335,7 @@ def _cmd_greens(config: RunConfig) -> int:
         "max_residual": {"value": worst, "tolerance": 1e-10},
         "pass": worst <= 1e-10,
     }
-    return _emit(config, payload, (("trial", "lhs_re", "boundary_re", "residual"), rows))
+    return _emit(config, payload, rows)
 
 
 def _cmd_blowup(config: RunConfig) -> int:
@@ -358,7 +358,7 @@ def _cmd_blowup(config: RunConfig) -> int:
         "rows": rows,
         "pass": -0.35 <= rep.slope <= -0.15 and rep.norm_ratio <= 1.5,
     }
-    return _emit(config, payload, (("eps", "norm", "pairing"), rows))
+    return _emit(config, payload, rows)
 
 
 def _cmd_verify_all(config: RunConfig) -> int:
