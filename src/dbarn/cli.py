@@ -303,16 +303,19 @@ def _cmd_hodge(config: RunConfig) -> int:
     # 1e-8 of f at the top degree, and fail correctly rounded splits.
     total = g11.re + 2 * g12.re + g22.re
     ortho = math.sqrt((g12.re**2 + g12.im**2) / (g11.re * total)) if g11.re else 0.0
+    basis = MonomialBasis(config.d)
+    parts = {"range": _form_rows(basis, f1), "orthogonal": _form_rows(basis, f2)}
     payload = {
         "s": s, "d": config.d,
         "range_part_norm": n1,
         "orthogonal_part_norm": n2,
         "orthogonality_defect": {"value": ortho, "tolerance": 1e-10},
         "pass": ortho <= 1e-10,
-        "range_part": _form_rows(MonomialBasis(config.d), f1),
-        "orthogonal_part": _form_rows(MonomialBasis(config.d), f2),
+        "range_part": parts["range"],
+        "orthogonal_part": parts["orthogonal"],
     }
-    return _emit(config, payload)
+    rows = [{"part": part, **row} for part, part_rows in parts.items() for row in part_rows]
+    return _emit(config, payload, rows, columns=("part",) + FORM_COLUMNS)
 
 
 def _cmd_greens(config: RunConfig) -> int:
@@ -413,6 +416,8 @@ CSV_HELP = """\
 CSV columns by subcommand:
   ellipticity:        xi, det, det_scaled, pass
   canonical/neumann:  z_power, zbar_power, re, im   (solution coefficients)
+  hodge:              part, z_power, zbar_power, re, im
+                      (part is range or orthogonal)
   greens:             trial, lhs_re, boundary_re, residual
   blowup:             eps, norm, pairing
   kop (with --input): r, theta, re, im              (the solved field)

@@ -1,13 +1,22 @@
 """Exact calculus of (0,q)-forms with polynomial coefficients on C^n.
 
 Coefficients are polynomials in z_1..z_n and their conjugates with exact
-complex-rational coefficients, stored sparsely:
+complex-rational coefficients, stored sparsely as Gaussian-integer
+numerators over one shared, reduced denominator:
 
-    CPolynomial.terms : {(a, b): CRational}
+    CPolynomial.num : {(a, b): (re, im)},   CPolynomial.den > 0
 
 where a and b are exponent tuples for the holomorphic and anti-holomorphic
-variables.  A (0,q)-form maps strictly increasing index tuples J (entries in
-1..n, length q) to such polynomials:
+variables and the coefficient of z^a zbar^b is (re + i im) / den.  The
+public constructor ``CPolynomial(n, terms)`` takes {(a, b): CRational} and
+is the only place terms are validated; sums, products, scaling, derivatives
+and conjugation run on Python ints and reduce the denominator by one gcd
+pass per result, so equal polynomials have equal numerators and
+denominators.  ``CPolynomial.terms`` is the read-only {(a, b): CRational}
+view of the same coefficients.
+
+A (0,q)-form maps strictly increasing index tuples J (entries in 1..n,
+length q) to such polynomials:
 
     FormPoly.comps : {J: CPolynomial}
 
@@ -27,12 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 Exponents = tuple[int, ...]
 BiExponent = tuple[Exponents, Exponents]
+Gaussian = tuple[int, int]
 IncreasingIndex = tuple[int, ...]
 
 
@@ -95,45 +108,109 @@ def _zero_exp(n: int) -> Exponents:
 
 
 def _bump(e: Exponents, k: int, delta: int) -> Exponents:
-    out = list(e)
-    out[k] += delta
-    return tuple(out)
+    return e[:k] + (e[k] + delta,) + e[k + 1:]
 
 
-@dataclass(frozen=True)
+def _parts(c: CRational) -> tuple[int, int, int]:
+    """(re, im, den) with c = (re + i im) / den and den the lcm of the part denominators."""
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator), den)
+
+
+def _add_into(out: dict[BiExponent, Gaussian], key: BiExponent, re: int, im: int) -> None:
+    """out[key] += re + i im, keeping no zero and the position of a surviving key."""
+    old = out.get(key)
+    if old is not None:
+        re += old[0]
+        im += old[1]
+        if not (re or im):
+            del out[key]
+            return
+    out[key] = (re, im)
+
+
 class CPolynomial:
     """Sparse polynomial in z_1..z_n, zbar_1..zbar_n over CRational.
 
-    Zero coefficients are never stored; the canonical zero polynomial has an
-    empty term map.  Instances are immutable by convention: operations return
-    new polynomials.
+    ``num`` and ``den`` hold the coefficients (see the module docstring): no
+    zero numerator is stored, gcd(den, every re and im) == 1, and the zero
+    polynomial is ({}, 1).  Operations build their results through
+    ``_reduced``, which neither validates nor makes a Fraction.  Term order
+    follows the operations' insertion order, which float evaluation sums in.
+    Instances are immutable by convention: operations return new polynomials.
     """
 
-    n: int
-    terms: Mapping[BiExponent, CRational]
+    __slots__ = ("n", "num", "den", "_terms")
 
-    def __post_init__(self) -> None:
-        for (a, b), c in self.terms.items():
-            if len(a) != self.n or len(b) != self.n:
-                raise ValueError(f"exponent tuples must have length n={self.n}")
+    def __init__(self, n: int, terms: Mapping[BiExponent, CRational]) -> None:
+        parts = []
+        den = 1
+        for key, c in terms.items():
+            a, b = key
+            if len(a) != n or len(b) != n:
+                raise ValueError(f"exponent tuples must have length n={n}")
             if any(e < 0 for e in a + b):
                 raise ValueError("negative exponent")
-            if c.is_zero():
+            re, im = c.re, c.im
+            if not (re or im):
                 raise ValueError("zero coefficient stored")
+            den = lcm(den, re.denominator, im.denominator)
+            parts.append((key, re, im))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self.n = n
+        self.num = {key: (re.numerator * (den // re.denominator),
+                          im.numerator * (den // im.denominator)) for key, re, im in parts}
+        self.den = den
+        self._terms = None
+
+    @classmethod
+    def _raw(cls, n: int, num: dict[BiExponent, Gaussian], den: int) -> "CPolynomial":
+        """From numerators already reduced over den, with no zero stored."""
+        p = cls.__new__(cls)
+        p.n, p.num, p.den, p._terms = n, num, den, None
+        return p
+
+    @classmethod
+    def _reduced(cls, n: int, num: dict[BiExponent, Gaussian], den: int) -> "CPolynomial":
+        """From numerators over den > 0 with no zero stored: divides out their gcd."""
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return cls._raw(n, num, den)
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+        return cls._raw(n, num, den // g)
+
+    @property
+    def terms(self) -> Mapping[BiExponent, CRational]:
+        """{(a, b): CRational}, read-only, built on first use."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                {key: CRational(Fraction(re, den), Fraction(im, den))
+                 for key, (re, im) in self.num.items()})
+        return self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CPolynomial):
+            return NotImplemented
+        return self.n == other.n and self.den == other.den and self.num == other.num
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CPolynomial(n={self.n}, terms={dict(self.terms)!r})"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(n: int) -> "CPolynomial":
-        return CPolynomial(n, {})
+        return CPolynomial._raw(n, {}, 1)
 
     @staticmethod
     def const(n: int, c: CRational | Fraction | int) -> "CPolynomial":
-        if not isinstance(c, CRational):
-            c = CRational.of(c)
-        if c.is_zero():
-            return CPolynomial.zero(n)
-        return CPolynomial(n, {(_zero_exp(n), _zero_exp(n)): c})
+        return CPolynomial.monomial(n, _zero_exp(n), _zero_exp(n), c)
 
     @staticmethod
     def z(n: int, k: int) -> "CPolynomial":
@@ -155,90 +232,120 @@ class CPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
+    def _combine(self, other: "CPolynomial", sign: int) -> "CPolynomial":
+        """self + sign * other over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if p == 1 else {
+            key: (p * re, p * im) for key, (re, im) in self.num.items()}
+        for key, (re, im) in other.num.items():
+            _add_into(out, key, q * re, q * im)
+        return CPolynomial._reduced(self.n, out, den)
+
     def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, QC_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return CPolynomial(self.n, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CPolynomial") -> "CPolynomial":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CPolynomial":
-        return CPolynomial(self.n, {k: -c for k, c in self.terms.items()})
+        num = {key: (-re, -im) for key, (re, im) in self.num.items()}
+        return CPolynomial._raw(self.n, num, self.den)
 
     def __mul__(self, other: "CPolynomial") -> "CPolynomial":
-        out: dict[BiExponent, CRational] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                s = out.get(key, QC_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return CPolynomial(self.n, out)
+        out: dict[BiExponent, Gaussian] = {}
+        for (a1, b1), (x1, y1) in self.num.items():
+            for (a2, b2), (x2, y2) in other.num.items():
+                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)))
+                _add_into(out, key, x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
+        return CPolynomial._reduced(self.n, out, self.den * other.den)
 
     def scale(self, c: CRational | Fraction | int) -> "CPolynomial":
-        if not isinstance(c, CRational):
-            c = CRational.of(c)
-        if c.is_zero():
+        if isinstance(c, CRational):
+            x, y, den = _parts(c)
+        else:
+            c = Fraction(c)
+            x, y, den = c.numerator, 0, c.denominator
+        if not (x or y):
             return CPolynomial.zero(self.n)
-        return CPolynomial(self.n, {k: v * c for k, v in self.terms.items()})
+        # a product of nonzero Gaussian integers is nonzero
+        if y:
+            out = {key: (re * x - im * y, re * y + im * x) for key, (re, im) in self.num.items()}
+        else:
+            out = {key: (re * x, im * x) for key, (re, im) in self.num.items()}
+        return CPolynomial._reduced(self.n, out, self.den * den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self) -> int:
         """Total degree in all variables; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
+        return max(sum(a) + sum(b) for a, b in self.num)
 
     # -- derivatives and conjugation ----------------------------------------
 
+    def _diff(self, k: int, zbar: bool, out: dict[BiExponent, Gaussian],
+              sign: int = 1) -> dict[BiExponent, Gaussian]:
+        """Adds sign * d/dz_k (or d/dzbar_k, k 0-based) of the numerators into out.
+
+        The derivative maps distinct terms to distinct keys, so into an empty
+        out nothing needs merging."""
+        merge = bool(out)
+        for (a, b), (re, im) in self.num.items():
+            e = (b if zbar else a)[k]
+            if e:
+                e *= sign
+                key = (a, _bump(b, k, -1)) if zbar else (_bump(a, k, -1), b)
+                if merge:
+                    _add_into(out, key, e * re, e * im)
+                else:
+                    out[key] = (e * re, e * im)
+        return out
+
     def diff_z(self, k: int) -> "CPolynomial":
         """d/dz_k (1-based)."""
-        out: dict[BiExponent, CRational] = {}
-        for (a, b), c in self.terms.items():
-            e = a[k - 1]
-            if e:
-                out[(_bump(a, k - 1, -1), b)] = c.scale(e)
-        return CPolynomial(self.n, out)
+        return CPolynomial._reduced(self.n, self._diff(k - 1, False, {}), self.den)
 
     def diff_zbar(self, k: int) -> "CPolynomial":
-        out: dict[BiExponent, CRational] = {}
-        for (a, b), c in self.terms.items():
-            e = b[k - 1]
-            if e:
-                out[(a, _bump(b, k - 1, -1))] = c.scale(e)
-        return CPolynomial(self.n, out)
+        return CPolynomial._reduced(self.n, self._diff(k - 1, True, {}), self.den)
 
     def diff_real(self, j: int) -> "CPolynomial":
         """D_j over the 2n real coordinates, via the Wirtinger operators."""
-        if not 1 <= j <= 2 * self.n:
-            raise ValueError(f"real coordinate index {j} out of range 1..{2 * self.n}")
-        if j <= self.n:
-            return self.diff_z(j) + self.diff_zbar(j)
-        k = j - self.n
-        return (self.diff_z(k) - self.diff_zbar(k)).scale(QC_I)
+        n = self.n
+        if not 1 <= j <= 2 * n:
+            raise ValueError(f"real coordinate index {j} out of range 1..{2 * n}")
+        if j <= n:  # d/dz_j + d/dzbar_j
+            out = self._diff(j - 1, True, self._diff(j - 1, False, {}))
+        else:  # i (d/dz_k - d/dzbar_k); i (re + i im) = -im + i re
+            out = self._diff(j - n - 1, True, self._diff(j - n - 1, False, {}), -1)
+            out = {key: (-im, re) for key, (re, im) in out.items()}
+        return CPolynomial._reduced(n, out, self.den)
 
-    def diff_multi(self, alpha: Sequence[int]) -> "CPolynomial":
-        """D^alpha for a multi-index over the 2n real coordinates."""
-        out = self
-        for j, e in enumerate(alpha, start=1):
-            for _ in range(e):
-                out = out.diff_real(j)
-        return out
+    def real_derivatives(self, order: int) -> dict[Exponents, "CPolynomial"]:
+        """D^alpha for every multi-index alpha over the 2n real coordinates with
+        |alpha| <= order, keyed by alpha.  Each is one D_j of an entry one order
+        lower, j the last nonzero coordinate of alpha."""
+        m = 2 * self.n
+        zero = (0,) * m
+        table = {zero: self}
+        frontier = [(zero, 0)]
+        for _ in range(order):
+            grown = []
+            for e, last in frontier:
+                lower = table[e]
+                for j in range(last, m):
+                    up = _bump(e, j, 1)
+                    table[up] = lower.diff_real(j + 1)
+                    grown.append((up, j))
+            frontier = grown
+        return table
 
     def conjugate(self) -> "CPolynomial":
         """Complex conjugate: swaps z and zbar exponents, conjugates coefficients."""
-        return CPolynomial(self.n, {(b, a): c.conjugate() for (a, b), c in self.terms.items()})
+        num = {(b, a): (re, -im) for (a, b), (re, im) in self.num.items()}
+        return CPolynomial._raw(self.n, num, self.den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -251,8 +358,10 @@ class CPolynomial:
             raise ValueError(f"expected leading axis of length n={self.n}")
         out = np.zeros(zs.shape[1:], dtype=complex)
         conj = np.conj(zs)
-        for (a, b), c in self.terms.items():
-            term = np.full(zs.shape[1:], c.to_complex())
+        den = self.den
+        for (a, b), (re, im) in self.num.items():
+            # the float of an int quotient is that of the reduced Fraction
+            term = np.full(zs.shape[1:], complex(re / den) + 1j * complex(im / den))
             for k in range(self.n):
                 if a[k]:
                     term = term * zs[k] ** a[k]

@@ -57,7 +57,7 @@ from .geometry import (
     normal_derivative,
     plateau_bump,
 )
-from .multiindex import enumerate_up_to, gamma
+from .multiindex import gamma
 from .sobolev import (
     MonomialBasis,
     SobolevGram,
@@ -535,23 +535,28 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
 # measures the printed answer, not the arithmetic that produced it.
 
 
-def _charges_of(f, max_degree: int) -> dict[int, dict[tuple[int, int], CRational]]:
-    """The terms of a (0,1)-form or polynomial in one variable, grouped by charge."""
+def _charges_of(f, max_degree: int) -> tuple[dict[int, dict[tuple[int, int], tuple[int, int]]],
+                                              int]:
+    """The integer numerators of a (0,1)-form or polynomial in one variable, grouped
+    by charge, and their common denominator."""
     comp = f.component((1,)) if isinstance(f, FormPoly) else f
     if comp.n != 1:
         raise ValueError("the disc complex takes forms in one complex variable")
     if comp.degree() > max_degree:
         raise ValueError(f"a form of degree {comp.degree()} is outside the basis of "
                          f"degree {max_degree}")
-    out: dict[int, dict[tuple[int, int], CRational]] = {}
-    for (a, b), c in comp.terms.items():
-        out.setdefault(a[0] - b[0], {})[(a[0], b[0])] = c
-    return out
+    out: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+    for ((a,), (b,)), c in comp.num.items():
+        out.setdefault(a - b, {})[(a, b)] = c
+    return out, comp.den
 
 
-def _coefficients(terms: dict[tuple[int, int], CRational],
+def _coefficients(terms: dict[tuple[int, int], tuple[int, int]], den: int,
                   exps: list[tuple[int, int]]) -> _Scaled:
-    return _Scaled.of([(terms[e].re, terms[e].im) if e in terms else (0, 0) for e in exps])
+    """The numerators at exps over den, reduced to the least common denominator."""
+    pairs = [terms.get(e, (0, 0)) for e in exps]
+    g = math.gcd(den, *(x for pair in pairs for x in pair))
+    return _Scaled([x // g for x, _ in pairs], [y // g for _, y in pairs], den // g)
 
 
 def _exact_size(s: int | None, d: int | None,
@@ -577,13 +582,13 @@ def _canonical_exact(f, d: int, s: int) -> LeastNormSolution:
     the residual |A u - f|_s / |f|_s, and the kernel orthogonality
     max_k |<u, z^k>_s| / (|u|_s |z^k|_s) over the holomorphic monomials.
     """
-    terms = _charges_of(f, d - 1)
+    terms, f_den = _charges_of(f, d - 1)
     basis = MonomialBasis(d)
     coeffs = np.zeros(basis.dim, dtype=complex)
     f2 = r2 = u2 = Fraction(0)
     kernel = Fraction(0)  # max over charges of |<u, z^k>|^2 / |z^k|^2
     for cs in _charge_setups(d, s, sorted(terms)):
-        fs = _coefficients(terms[cs.charge], cs.exps[:cs.nf])
+        fs = _coefficients(terms[cs.charge], f_den, cs.exps[:cs.nf])
         u = cs.least_norm(fs).rounded()
         _place(coeffs, basis, cs.func_exps, u)
         ut = _Scaled.of_complex(u)
@@ -609,13 +614,13 @@ def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
     residual |A w - f|_s / |f|_s and the match |w - v|_s with the exact
     canonical solution v are exact on it.
     """
-    terms = _charges_of(f, d - 1)
+    terms, f_den = _charges_of(f, d - 1)
     form_basis = MonomialBasis(d - 1)
     coeffs = np.zeros(form_basis.dim, dtype=complex)
     f2 = r2 = u2 = m2 = Fraction(0)
     for cs in _charge_setups(d, s, sorted(terms)):
         form_exps = cs.exps[:cs.nf]
-        fs = _coefficients(terms[cs.charge], form_exps)
+        fs = _coefficients(terms[cs.charge], f_den, form_exps)
         u = _solve(cs.form, fs.times(*cs.normal_inverse), cs.form_den).rounded()
         _place(coeffs, form_basis, form_exps, u)
         ut = _Scaled.of_complex(u)
@@ -636,13 +641,13 @@ def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
 def _hodge_exact(f, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """``hodge_decompose`` for a form: per charge, G_form c = (G f)_form by one
     fraction-free solve; the range part is c rounded, the remainder f minus it."""
-    terms = _charges_of(f, d)
+    terms, f_den = _charges_of(f, d)
     basis = MonomialBasis(d)
     f1 = np.zeros(basis.dim, dtype=complex)
     f2 = np.zeros(basis.dim, dtype=complex)
     for charge in sorted(terms):
         exps = charge_exponents(charge, d)
-        fs = _coefficients(terms[charge], exps)
+        fs = _coefficients(terms[charge], f_den, exps)
         nf = len(charge_exponents(charge, d - 1))
         c = [0j] * len(exps)
         if nf:
@@ -684,11 +689,12 @@ def _circle_integral_exact(p: CPolynomial) -> CRational:
 
     integral over the circle of z^a zbar^b dtheta = 2 pi iff a == b.
     """
-    total = QC_ZERO
-    for (a, b), c in p.terms.items():
-        if a[0] == b[0]:
-            total = total + c.scale(2)
-    return total
+    re = im = 0
+    for ((a,), (b,)), (x, y) in p.num.items():
+        if a == b:
+            re += x
+            im += y
+    return CRational(Fraction(2 * re, p.den), Fraction(2 * im, p.den))
 
 
 @dataclass
@@ -714,10 +720,9 @@ def greens_identity_check(phi: CPolynomial, psi: FormPoly | CPolynomial,
     interior = inner_s_exact(phi, -psi1.diff_z(1), s)
     half_z = CPolynomial.monomial(1, (1,), (0,), CRational.of(Fraction(1, 2)))
     boundary = QC_ZERO
-    for alpha in enumerate_up_to(s, 2):
-        dphi = phi.diff_multi(alpha.exponents)
-        dpsi = psi1.diff_multi(alpha.exponents)
-        integrand = dphi * dpsi.conjugate() * half_z
+    dpsi = psi1.real_derivatives(s)
+    for alpha, dphi in phi.real_derivatives(s).items():
+        integrand = dphi * dpsi[alpha].conjugate() * half_z
         boundary = boundary + _circle_integral_exact(integrand).scale(gamma(alpha))
     diff = lhs - interior - boundary
     return GreensIdentityResult(

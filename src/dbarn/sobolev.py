@@ -38,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import CPolynomial, CRational, QC_ZERO
-from .multiindex import enumerate_up_to, gamma
+from .forms import CPolynomial, CRational
+from .multiindex import gamma
 
 MAX_S = 4
 MAX_DIM = 2000
@@ -92,35 +92,60 @@ def inner_monomial_L2(a: int, b: int, c: int, d: int) -> Fraction:
     return Fraction(2, a + b + c + d + 2)
 
 
-def pair_L2_exact(p: CPolynomial, q: CPolynomial) -> CRational:
-    """Exact <p, q>_{L2(disc)} as a CRational multiple of pi (n = 1 only)."""
+def _add_pairing(sums: dict[int, list[int]], p: CPolynomial, q: CPolynomial,
+                 weight: int) -> None:
+    """Adds weight * <p, q>_{L2(disc)} / pi to sums (n = 1 only).
+
+    sums maps a denominator k to Gaussian-integer parts [re, im] worth
+    2 (re + i im) / k.  Within the pairing, the products of interacting
+    numerators are summed per weight denominator t = a+b+c+d+2, which enters
+    as k = t * p.den * q.den.
+    """
     if p.n != 1 or q.n != 1:
         raise ValueError("exact disc integrals are implemented for n = 1")
-    total = QC_ZERO
     # Bucket q's terms by charge so only interacting pairs are visited.
-    buckets: dict[int, list[tuple[int, int, CRational]]] = {}
-    for (ce, de), coeff in q.terms.items():
-        c, d = ce[0], de[0]
-        buckets.setdefault(c - d, []).append((c, d, coeff))
-    for (ae, be), ca in p.terms.items():
-        a, b = ae[0], be[0]
-        for c, d, cb in buckets.get(a - b, ()):
-            w = inner_monomial_L2(a, b, c, d)
-            if w:
-                total = total + (ca * cb.conjugate()).scale(w)
-    return total
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for ((c,), (d,)), (x, y) in q.num.items():
+        buckets.setdefault(c - d, []).append((c + d + 2, x, y))
+    local: dict[int, list[int]] = {}
+    for ((a,), (b,)), (x1, y1) in p.num.items():
+        for cd2, x2, y2 in buckets.get(a - b, ()):
+            # (x1 + i y1) conj(x2 + i y2), weight 2 / t
+            acc = local.setdefault(a + b + cd2, [0, 0])
+            acc[0] += x1 * x2 + y1 * y2
+            acc[1] += y1 * x2 - x1 * y2
+    den = p.den * q.den
+    for t, (re, im) in local.items():
+        acc = sums.setdefault(t * den, [0, 0])
+        acc[0] += weight * re
+        acc[1] += weight * im
+
+
+def _collect(sums: dict[int, list[int]]) -> CRational:
+    """The CRational that ``_add_pairing`` sums stand for: one Fraction per part."""
+    top = math.lcm(*sums)
+    re = 2 * sum(top // k * acc[0] for k, acc in sums.items())
+    im = 2 * sum(top // k * acc[1] for k, acc in sums.items())
+    return CRational(Fraction(re, top), Fraction(im, top))
+
+
+def pair_L2_exact(p: CPolynomial, q: CPolynomial) -> CRational:
+    """Exact <p, q>_{L2(disc)} as a CRational multiple of pi (n = 1 only)."""
+    sums: dict[int, list[int]] = {}
+    _add_pairing(sums, p, q, 1)
+    return _collect(sums)
 
 
 def inner_s_exact(f: CPolynomial, g: CPolynomial, s: int) -> CRational:
-    """<f, g>_s as an exact CRational multiple of pi."""
+    """<f, g>_s as an exact CRational multiple of pi: the gamma-weighted sum of
+    the L2 pairings of D^alpha f and D^alpha g over |alpha| <= s."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    total = QC_ZERO
-    for alpha in enumerate_up_to(s, 2):
-        w = gamma(alpha)
-        term = pair_L2_exact(f.diff_multi(alpha.exponents), g.diff_multi(alpha.exponents))
-        total = total + term.scale(w)
-    return total
+    dg = g.real_derivatives(s)
+    sums: dict[int, list[int]] = {}
+    for alpha, df in f.real_derivatives(s).items():
+        _add_pairing(sums, df, dg[alpha], gamma(alpha))
+    return _collect(sums)
 
 
 def inner_s_direct(f: CPolynomial, g: CPolynomial, s: int) -> complex:
@@ -128,15 +153,22 @@ def inner_s_direct(f: CPolynomial, g: CPolynomial, s: int) -> complex:
     return inner_s_exact(f, g, s).to_complex() * math.pi
 
 
+def _add_recursive(sums: dict[int, list[int]], f: CPolynomial, g: CPolynomial,
+                   s: int) -> None:
+    _add_pairing(sums, f, g, 1)
+    if s:
+        for j in (1, 2):
+            _add_recursive(sums, f.diff_real(j), g.diff_real(j), s - 1)
+
+
 def inner_s_recursive_exact(f: CPolynomial, g: CPolynomial, s: int) -> CRational:
+    """<f, g>_s by the recursion below: one L2 pairing per ordered sequence of
+    at most s real derivatives, none merged."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    if s == 0:
-        return pair_L2_exact(f, g)
-    total = pair_L2_exact(f, g)
-    for j in (1, 2):
-        total = total + inner_s_recursive_exact(f.diff_real(j), g.diff_real(j), s - 1)
-    return total
+    sums: dict[int, list[int]] = {}
+    _add_recursive(sums, f, g, s)
+    return _collect(sums)
 
 
 def inner_s_recursive(f: CPolynomial, g: CPolynomial, s: int) -> complex:

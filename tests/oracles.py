@@ -6,6 +6,13 @@ textbook index form.  Agreement with the library's increasing-index
 bookkeeping then checks every epsilon sign through a genuinely different
 code path.
 
+Polynomial coefficients are recombined one term at a time in CRational
+(two Fractions per coefficient, a gcd per product), the arithmetic the
+library replaced with Gaussian-integer numerators over one denominator: sums,
+products, scaling, conjugation, the Wirtinger and real derivatives, the
+Laplacian and the exact disc pairing act on plain term maps
+{(a, b): CRational}.
+
 The Galerkin solutions are recomputed per charge block in exact Fractions
 from the textbook normal equations, with no use of the closed forms the
 library solves by.
@@ -25,7 +32,7 @@ from itertools import permutations
 import numpy as np
 
 from dbarn.bvp import DiscKOperator
-from dbarn.forms import CPolynomial, FormPoly
+from dbarn.forms import QC_I, QC_ZERO, BiExponent, CPolynomial, CRational, FormPoly
 from dbarn.geometry import SampledField, normal_derivative
 from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block
 
@@ -132,6 +139,85 @@ def wedge_full(phi: FormPoly, omega: FormPoly) -> FormPoly:
         if not total.is_zero():
             out[key] = total
     return canonical_from_full(out, n, q + 1)
+
+
+# -- per-term Fraction algebra of polynomial coefficients ---------------------------
+
+Terms = dict[BiExponent, CRational]
+
+
+def _put(out: Terms, key: BiExponent, c: CRational) -> None:
+    s = out.get(key, QC_ZERO) + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def terms_add(p: Terms, q: Terms) -> Terms:
+    out = dict(p)
+    for key, c in q.items():
+        _put(out, key, c)
+    return out
+
+
+def terms_scale(p: Terms, c: CRational) -> Terms:
+    return {} if c.is_zero() else {key: v * c for key, v in p.items()}
+
+
+def terms_conjugate(p: Terms) -> Terms:
+    return {(b, a): c.conjugate() for (a, b), c in p.items()}
+
+
+def terms_mul(p: Terms, q: Terms) -> Terms:
+    out: Terms = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
+            _put(out, key, c1 * c2)
+    return out
+
+
+def _lowered(e: tuple[int, ...], k: int) -> tuple[int, ...]:
+    out = list(e)
+    out[k] -= 1
+    return tuple(out)
+
+
+def terms_diff_z(p: Terms, k: int) -> Terms:
+    """d/dz_k (1-based)."""
+    return {(_lowered(a, k - 1), b): c.scale(a[k - 1]) for (a, b), c in p.items() if a[k - 1]}
+
+
+def terms_diff_zbar(p: Terms, k: int) -> Terms:
+    return {(a, _lowered(b, k - 1)): c.scale(b[k - 1]) for (a, b), c in p.items() if b[k - 1]}
+
+
+def terms_diff_real(p: Terms, n: int, j: int) -> Terms:
+    """D_j = d/dz_j + d/dzbar_j (j <= n), D_{k+n} = i (d/dz_k - d/dzbar_k)."""
+    if j <= n:
+        return terms_add(terms_diff_z(p, j), terms_diff_zbar(p, j))
+    k = j - n
+    return terms_scale(terms_add(terms_diff_z(p, k),
+                                 terms_scale(terms_diff_zbar(p, k), CRational.of(-1))), QC_I)
+
+
+def terms_laplacian(p: Terms, n: int) -> Terms:
+    out: Terms = {}
+    for j in range(1, 2 * n + 1):
+        out = terms_add(out, terms_diff_real(terms_diff_real(p, n, j), n, j))
+    return out
+
+
+def pair_L2_terms(p: Terms, q: Terms) -> CRational:
+    """<p, q>_{L2(disc)} / pi in one variable: z^a zbar^b against z^c zbar^d
+    integrates to 2 / (a+b+c+d+2) when a + d == b + c, else to 0."""
+    total = QC_ZERO
+    for ((a,), (b,)), cp in p.items():
+        for ((c,), (d,)), cq in q.items():
+            if a + d == b + c:
+                total = total + (cp * cq.conjugate()).scale(Fraction(2, a + b + c + d + 2))
+    return total
 
 
 # -- exact Galerkin solutions ------------------------------------------------------

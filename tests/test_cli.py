@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -288,8 +289,26 @@ def test_zero_form_writes_an_empty_table(tmp_path, capsys, command):
                  "--csv", str(csv_out)])
     assert code == 0
     assert capsys.readouterr().out.rstrip().endswith(f"{command}: pass")
-    if command != "hodge":  # hodge keeps its two coefficient lists in the JSON record
-        assert csv_out.read_text().splitlines() == ["z_power,zbar_power,re,im"]
+    header = "part,z_power,zbar_power,re,im" if command == "hodge" else "z_power,zbar_power,re,im"
+    assert csv_out.read_text().splitlines() == [header]
+
+
+def test_hodge_csv_rows_are_the_record_parts(tmp_path):
+    form = tmp_path / "f.form"
+    form.write_text("(form (n 1) (q 1) (comp (1)"
+                    " (term 1/3 -2/7 (z 3) (zbar 1)) (term 5/6 1/4 (z 0) (zbar 2))"
+                    " (term 0 9/8 (z 1) (zbar 4))))\n")
+    out, csv_out = tmp_path / "hodge.json", tmp_path / "hodge.csv"
+    assert main(["hodge", "--s", "1", "--d", "5", "--f", str(form), "--out", str(out),
+                 "--csv", str(csv_out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["range_part"] and payload["orthogonal_part"]
+    expected = [(part, row["z_power"], row["zbar_power"], row["re"], row["im"])
+                for part in ("range", "orthogonal") for row in payload[f"{part}_part"]]
+    with open(csv_out, newline="") as handle:
+        rows = [(r["part"], int(r["z_power"]), int(r["zbar_power"]), float(r["re"]),
+                 float(r["im"])) for r in csv.DictReader(handle)]
+    assert rows == expected
 
 
 def test_kop_honours_radial_nodes(tmp_path):

@@ -21,7 +21,23 @@ from dbarn.forms import (
     wedge_d1,
 )
 
-from oracles import contract_full, dbar_full, theta_full, wedge_full
+from dbarn.sobolev import pair_L2_exact
+
+from oracles import (
+    contract_full,
+    dbar_full,
+    pair_L2_terms,
+    terms_add,
+    terms_conjugate,
+    terms_diff_real,
+    terms_diff_z,
+    terms_diff_zbar,
+    terms_laplacian,
+    terms_mul,
+    terms_scale,
+    theta_full,
+    wedge_full,
+)
 
 
 def const_form(n, q, J):
@@ -44,6 +60,92 @@ def test_crational_arithmetic():
 def test_cpolynomial_rejects_zero_coefficients():
     with pytest.raises(ValueError):
         CPolynomial(1, {((0,), (0,)): CRational.of(0)})
+
+
+def test_constructor_validates_terms():
+    one = CRational.of(1)
+    with pytest.raises(ValueError, match="zero coefficient"):
+        CPolynomial(2, {((0, 0), (1, 0)): one, ((1, 0), (0, 0)): CRational.of(0)})
+    with pytest.raises(ValueError, match="negative exponent"):
+        CPolynomial(1, {((2,), (-1,)): one})
+    with pytest.raises(ValueError, match="length"):
+        CPolynomial(2, {((1,), (0, 0)): one})
+    with pytest.raises(ValueError, match="length"):
+        CPolynomial(1, {((1,), (0, 0)): one})
+
+
+def test_difference_with_itself_is_the_zero_polynomial(rng):
+    for n in (1, 2, 3):
+        p = random_cpolynomial(rng, n, 3)
+        zero = p - p
+        assert zero.terms == {} and zero.is_zero()
+        assert zero == CPolynomial.zero(n) and zero.den == 1
+
+
+def test_equal_polynomials_over_different_denominators_compare_equal():
+    half = CPolynomial.monomial(1, (1,), (0,), Fraction(1, 2))
+    quarter = CPolynomial.monomial(1, (1,), (0,), Fraction(1, 4))
+    assert quarter + quarter == half  # 2/4 against 1/2
+    assert quarter.scale(2) == half
+    assert half.scale(CRational.of(0, 6)).scale(CRational.of(0, Fraction(-1, 6))) == half
+    p = CPolynomial.z(1, 1) + CPolynomial.zbar(1, 1).scale(Fraction(1, 6))
+    assert p.scale(Fraction(3, 4)).scale(Fraction(4, 3)) == p
+    # the exponent cancels the denominator: d/dz (z^2 / 2) = z
+    assert CPolynomial.monomial(1, (2,), (0,), Fraction(1, 2)).diff_z(1) == CPolynomial.z(1, 1)
+    assert half != quarter and half != CPolynomial.monomial(2, (1, 0), (0, 0), Fraction(1, 2))
+
+
+def _random_terms(rng, n, count=5):
+    """Terms with denominators up to 12, so products and derivatives share factors
+    with the common denominator."""
+    out = {}
+    for _ in range(count):
+        a = tuple(int(e) for e in rng.integers(0, 4, n))
+        b = tuple(int(e) for e in rng.integers(0, 4, n))
+        c = CRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))),
+                      Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+        if not c.is_zero():
+            out[(a, b)] = c
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_coefficients_match_the_fraction_oracle(n):
+    rng = np.random.default_rng(700 + n)
+
+    def agrees(result, expected):
+        # the CRational view, the reduced numerators (against a polynomial built
+        # from the oracle's terms) and the term order, which float evaluation
+        # sums in
+        return (result.terms == expected and result == CPolynomial(n, expected)
+                and list(result.terms) == list(expected))
+
+    scalars = (0, 3, -6, Fraction(5, 12), CRational.of(Fraction(-2, 3), Fraction(3, 4)),
+               CRational.of(0, 6))
+    for _ in range(30):
+        tp, tq = _random_terms(rng, n), _random_terms(rng, n)
+        for key in list(tp)[:2]:  # q cancels part of p
+            tq[key] = -tp[key]
+        p, q = CPolynomial(n, tp), CPolynomial(n, tq)
+        assert p.terms == tp and q.terms == tq
+        assert agrees(p + q, terms_add(tp, tq))
+        assert agrees(p - q, terms_add(tp, terms_scale(tq, CRational.of(-1))))
+        assert agrees(-p, terms_scale(tp, CRational.of(-1)))
+        assert agrees(p * q, terms_mul(tp, tq))
+        assert agrees(p.conjugate(), terms_conjugate(tp))
+        for c in scalars:
+            assert agrees(p.scale(c), terms_scale(tp, c if isinstance(c, CRational)
+                                                  else CRational.of(c)))
+        for k in range(1, n + 1):
+            assert agrees(p.diff_z(k), terms_diff_z(tp, k))
+            assert agrees(p.diff_zbar(k), terms_diff_zbar(tp, k))
+        for j in range(1, 2 * n + 1):
+            assert agrees(p.diff_real(j), terms_diff_real(tp, n, j))
+        assert agrees(laplacian(p), terms_laplacian(tp, n))
+        if n == 1:
+            assert pair_L2_exact(p, q) == pair_L2_terms(tp, tq)
+            dp = terms_diff_real(tp, 1, 2)
+            assert pair_L2_exact(p.diff_real(2), p * q) == pair_L2_terms(dp, terms_mul(tp, tq))
 
 
 def test_wirtinger_derivatives():
