@@ -9,8 +9,7 @@ not quadrature.
 
 Contents:
 
-  * the dbar matrix and the W^s Hilbert-space adjoint of any matrix between
-    Gram-weighted spaces,
+  * the dbar matrix and its W^s Hilbert-space adjoint dbar*,
   * least-norm (canonical) solutions of dbar u = f and the inverse of
     dbar dbar* on (0,1)-forms (in one complex variable the full Laplacian
     dbar dbar* + dbar* dbar reduces to dbar dbar* at top degree).  Both rest
@@ -18,15 +17,14 @@ Contents:
     b > 0 has the single entry b, in form row z^a zbar^(b-1), and the
     holomorphic columns are zero, so A A^T = diag(b^2).  The canonical
     solution is then closed form, with no Gram factored, and the Neumann
-    solution costs one Gram solve (dbar* N f is the canonical solution,
-    Kohn's formula); a second solve, with the function Gram, checks it,
+    solution costs one form-Gram solve per charge (dbar* N f is the
+    canonical solution, Kohn's formula); applying dbar* to it checks it,
   * the Hodge-type splitting of a form into its dbar-range part and the
     orthogonal remainder,
-  * the input kind picks the arithmetic: a float coefficient vector is
-    solved in float64 on the dense, cached Grams (``DiscreteComplex``); a
-    form, whose coefficients are exact rationals, is solved exactly one
-    charge block at a time, on the charges it touches, with no dense Gram,
-    and its certificates are exact on the rounded coefficients,
+  * every solve is exact, one charge block at a time: a form on the charges
+    it touches, with exact certificates on the rounded coefficients; a float
+    vector through per-charge operators solved once per (d, s) and rounded
+    once (``_operators``), its float certificates losing digits from d ~ 20,
   * exact operator-norm and positive-definiteness certificates on the same
     charge blocks,
   * the integration-by-parts (Green) identity connecting <dbar phi, psi>_s,
@@ -66,6 +64,7 @@ from .sobolev import (
     gram_block_rows,
     inner_s_exact,
     leading_subgram,
+    real_matvec,
 )
 
 MAX_NEUMANN_S = 2
@@ -124,17 +123,16 @@ class DiscreteComplex:
         return k * (k + 1) // 2
 
 
-def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram,
-            gram_cod: SobolevGram) -> np.ndarray:
-    """The Gram adjoint A* with <A v, w>_cod = <v, A* w>_dom for all v, w.
-
-    One round of iterative refinement on the Gram solve recovers the digits
-    the Hilbert-type conditioning of the monomial Gram eats.
-    """
-    rhs = op_matrix.conj().T @ gram_cod.matrix
-    x = gram_dom.solve(rhs)
-    x += gram_dom.solve(rhs - gram_dom.matrix @ x)
-    return x
+def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram, gram_cod: SobolevGram):
+    """The W^s adjoint A* of the disc dbar A, <A v, w>_s = <v, A* w>_s, as a CSR matrix of
+    correctly rounded entries (``_operators``).  Any operator or Gram pair other than a
+    ``DiscreteComplex``'s ``dbar_matrix``, ``gram`` and ``form_gram`` is a ValueError."""
+    cx = DiscreteComplex.build(gram_dom.basis.degree, gram_dom.s)
+    pairs = ((op_matrix, cx.dbar_matrix), (gram_dom.matrix, cx.gram.matrix),
+             (gram_cod.matrix, cx.form_gram.matrix))
+    if not all(a is b or np.array_equal(a, b) for a, b in pairs):
+        raise ValueError("adjoint takes the dbar matrix and the Gram pair of a DiscreteComplex")
+    return _operators(cx)[2].copy()
 
 
 @dataclass
@@ -190,9 +188,7 @@ def _kernel_cosine(cx: DiscreteComplex, u: np.ndarray) -> float:
     """max_k |<u, z^k>_s| / (|u|_s |z^k|_s), from one Gram matvec: <u, z^k>_s
     is (G u)[h] and |z^k|_s^2 is G[h, h]."""
     g = cx.gram.matrix
-    # the real Gram times the real and imaginary parts of u as one real
-    # product, so g is never cast to a complex copy
-    gu = (g @ u.view(float).reshape(len(u), -1)).view(u.dtype).ravel()
+    gu = real_matvec(g, u)
     u2 = float(np.vdot(u, gu).real)
     if u2 <= 0.0:
         return 0.0
@@ -215,13 +211,13 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
     The discrete harmonic space is trivial (dbar is onto the form space), and
     dbar* u is the canonical solution v of dbar v = f (Kohn's formula).  With
     A* = G^-1 A^T G_f that reads A^T G_f u = G v; applying A, whose A A^T is
-    diag(b^2), leaves G_f u = (A G v) / b^2: one solve with the cached form
-    Gram factor.  The check is independent of that identity: w = A* u comes
-    from a second solve, with the function Gram, and the residual
-    |A w - f|_s / |f|_s and the match |w - v|_s are measured on it.
+    diag(b^2), leaves G_f u = Y f (``_normal_inverse``).  The independent check:
+    |A w - f|_s / |f|_s and |w - v|_s, measured on w = A* u.
 
     A FormPoly / CPolynomial f is solved exactly, one charge at a time
-    (``_neumann_exact``); a float coefficient vector in float64 as above.
+    (``_neumann_exact``); a float vector is multiplied by N = G_f^-1 Y and A*,
+    rounded once (``_operators``): u is correctly rounded at every degree, but
+    the entries of A* grow with d, and the certificates miss 1e-8 from d ~ 20.
     """
     if not isinstance(f, np.ndarray):
         return _neumann_exact(f, *_exact_size(s, d, cx))
@@ -229,11 +225,8 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
         cx = DiscreteComplex.build(d, s)
     cols, b = _dbar_pattern(cx.basis.degree)
     v = _least_norm(cx, f, cols, b)
-    u = cx.form_gram.solve((cx.gram.matrix @ v)[cols] / b)
-
-    a_t_gu = np.zeros(cx.basis.dim, dtype=u.dtype)
-    a_t_gu[cols] = b * (cx.form_gram.matrix @ u)
-    w = cx.gram.solve(a_t_gu)  # A* u
+    u = real_matvec(_operators(cx)[0], f)
+    w = real_matvec(_operators(cx)[2], u)  # A* u
     fnorm = cx.form_gram.norm(f)
     resid = cx.form_gram.norm(b * w[cols] - f) / fnorm if fnorm else 0.0
     ratio = cx.form_gram.norm(u) / fnorm if fnorm else 0.0
@@ -249,18 +242,15 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
     f is a coefficient vector over the full degree-d basis (or a form whose
     component may reach degree d).  In one variable at top degree the
     remainder is purely a truncation artifact: it vanishes whenever f lies
-    in the degree-(d-1) range of the discrete dbar.  A form is split exactly,
-    one charge at a time (``_hodge_exact``); a float vector in float64.
+    in the degree-(d-1) range of the discrete dbar.  A form is split exactly
+    (``_hodge_exact``), a float vector by the rounded projection (``_operators``).
     """
     if not isinstance(f, np.ndarray):
         return _hodge_exact(f, *_exact_size(s, d, cx))
     if cx is None:
         cx = DiscreteComplex.build(d, s)
-    k = cx.form_basis.dim
-    rhs = (cx.gram.matrix @ f)[:k]
-    c = cx.form_gram.solve(rhs)
-    f1 = np.zeros_like(f)
-    f1[:k] = c
+    f1 = np.zeros_like(f, dtype=np.result_type(f, float))
+    f1[:cx.form_basis.dim] = real_matvec(_operators(cx)[1], f)
     return f1, f - f1
 
 
@@ -490,6 +480,40 @@ def _charge_setups(d: int, s: int, charges) -> Iterator[_ChargeSetup]:
         prev = _ChargeSetup(charge, exps, block, den, nf, form, form_den, func_exps, func,
                             func_den, hol, [b for _, b in func_exps[hol:]])
         yield prev
+
+
+def _operators(cx: DiscreteComplex) -> tuple:
+    """CSR (N, P, A*) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form), kept on
+    the degree-d Gram from the first call.  Per form charge, fraction-free eliminations of
+    [G_form | Y | G[form rows, degree d]] and [G_func | A^T G_form], rounded once, correctly."""
+    if cx.gram.operators is None:
+        import scipy.sparse  # on first use, like the float Cholesky
+        coo = ([], [], [])  # (row, column, value) entries of N, P and A*
+
+        def put(op, rows, cols, work, start, scale, den):
+            coo[op].extend((i, j, scale * x / den) for i, row in zip(rows, work)
+                           for j, x in zip(cols, row[start:]))
+
+        d = cx.basis.degree
+        for cs in _charge_setups(d, cx.s, range(-(d - 1), d)):
+            nf, (y, y_den) = cs.nf, cs.normal_inverse
+            form = [cx.form_basis.index_of(*e) for e in cs.exps[:nf]]
+            cols = [cx.basis.index_of(*e) for e in cs.exps]
+            work = [g + yr + br[nf:] for g, yr, br in zip(cs.form, y, cs.block)]
+            det = _bareiss(work)[-1]
+            put(0, form, form, work, nf, cs.form_den, det * y_den)
+            coo[1].extend((i, j, 1.0) for i, j in zip(form, cols))
+            put(1, form, cols[nf:], work, 2 * nf, cs.form_den, det * cs.den)
+            work = [g + r for g, r in zip(cs.func, [[0] * nf] * cs.hol + [
+                [b * x for x in row] for b, row in zip(cs.weights, cs.form)])]
+            det = _bareiss(work)[-1]
+            put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, work, len(work),
+                cs.func_den, det * cs.form_den)
+        nf, nu = cx.dbar_matrix.shape
+        shapes = [(nf, nf), (nf, nu), (nu, nf)]
+        cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
+                                  for (i, j, v), shape in zip((zip(*t) for t in coo), shapes))
+    return cx.gram.operators
 
 
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:

@@ -31,7 +31,6 @@ polynomials, then disc integrals) stays as the independent oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -176,26 +175,35 @@ def inner_s_recursive(f: CPolynomial, g: CPolynomial, s: int) -> complex:
     return inner_s_recursive_exact(f, g, s).to_complex() * math.pi
 
 
+def real_matvec(mat, u: np.ndarray) -> np.ndarray:
+    """mat @ u for a real (dense or sparse) matrix and a real or complex vector, as one
+    real product on the (re, im) columns of u: mat is never cast to a complex copy."""
+    u = np.ascontiguousarray(u, dtype=np.result_type(np.asarray(u), float))
+    return (mat @ u.view(float).reshape(len(u), -1)).view(u.dtype).ravel()
+
+
 @dataclass
 class SobolevGram:
-    """Dense Gram matrix of <. , .>_s on a monomial basis, with Cholesky cache.
+    """Dense Gram matrix of <. , .>_s on a monomial basis, for float inner products.
 
     Entries are exact rational multiples of pi converted once to float64;
     they are real (the inner product is invariant under conjugation of the
-    domain), as the closed-form charge blocks make explicit.
+    domain), as the closed-form charge blocks make explicit.  No solve reads
+    it: float solves apply exact per-charge ``operators``, dropped with the cache.
     """
 
     s: int
     basis: MonomialBasis
     matrix: np.ndarray
     _cho: tuple[np.ndarray, bool] | None = None
+    operators: tuple | None = None  # the float solve operators, kept by ``neumann``
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     def cholesky(self) -> tuple[np.ndarray, bool]:
-        import scipy.linalg  # on first use: the exact solvers never need it
+        import scipy.linalg  # on first use: the solvers never need it
 
         if self._cho is None:
             try:
@@ -207,29 +215,13 @@ class SobolevGram:
                 ) from exc
         return self._cho
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        return scipy.linalg.cho_solve(self.cholesky(), rhs)
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v>_s for coefficient vectors over the basis."""
-        return complex(np.conj(v) @ (self.matrix @ u))
+        return complex(np.vdot(v, real_matvec(self.matrix, u)))
 
     def norm(self, u: np.ndarray) -> float:
         val = self.inner(u, u)
         return math.sqrt(max(val.real, 0.0))
-
-    def to_csv(self, path: str) -> None:
-        """Write the matrix for inspection: row, col, exponents, value."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["i", "j", "a_i", "b_i", "a_j", "b_j", "value"])
-            exps = self.basis.exponents
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    writer.writerow([i, j, *exps[i], *exps[j],
-                                     repr(float(self.matrix[i, j]))])
 
 
 def charge_exponents(charge: int, max_degree: int) -> list[tuple[int, int]]:
@@ -313,10 +305,9 @@ def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
         rows, den = gram_block_rows(exps, s)
         mat[np.ix_(idx, idx)] = [[x / den * math.pi for x in row] for row in rows]
 
-    # Cholesky is computed lazily: the monomial basis carries Hilbert-type
-    # charge blocks whose float64 factorization breaks down around degree 25;
-    # exact rational block solves (see the neumann module) stay available
-    # beyond that point, so assembly itself must not fail.
+    # Nothing is factored: the charge blocks are Hilbert-type, and their float64
+    # factorization breaks down around degree 25, so every solve runs on exact
+    # rational blocks (see the neumann module) and assembly itself never fails.
     gram = SobolevGram(s=s, basis=basis, matrix=mat)
     _GRAM_CACHE[key] = gram
     return gram

@@ -284,6 +284,28 @@ def exact_galerkin_solutions(fvec: np.ndarray, d: int, s: int
     return canonical, neumann
 
 
+def exact_adjoint(d: int, s: int) -> np.ndarray:
+    """The W^s adjoint of the disc dbar, G^-1 A^T G_f, per charge by Fraction
+    Gauss-Jordan, with each entry rounded once to float64.
+
+    Per form charge kappa, A^T G_f has the row b G_f[(a, b-1)] at a function
+    column z^a zbar^b with b > 0, and a zero row at the holomorphic column.
+    """
+    basis, form_basis = MonomialBasis(d), MonomialBasis(d - 1)
+    out = np.zeros((basis.dim, form_basis.dim))
+    for charge in range(-(d - 1), d):
+        form_exps = charge_exponents(charge, d - 1)
+        func_exps = charge_exponents(charge - 1, d)
+        g_f = gram_block(form_exps, s)
+        form_index = {e: i for i, e in enumerate(form_exps)}
+        a_t_gf = [[b * x for x in g_f[form_index[(a, b - 1)]]] if b else [Fraction(0)] * len(g_f)
+                  for a, b in func_exps]
+        cols = [form_basis.index_of(*e) for e in form_exps]
+        for e, row in zip(func_exps, fraction_solve(gram_block(func_exps, s), a_t_gf)):
+            out[basis.index_of(*e), cols] = [float(x) for x in row]
+    return out
+
+
 def exact_hodge_split(fvec: np.ndarray, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The range part of f (the W^s projection onto the degree-(d-1) form space)
     and the remainder f minus that part rounded, per charge by Fraction

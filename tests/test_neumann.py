@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dbarn.forms import CPolynomial, FormPoly, random_cpolynomial
+from dbarn.forms import CPolynomial, CRational, FormPoly, random_cpolynomial
 from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
 from dbarn.neumann import (
     DiscreteComplex,
@@ -23,7 +23,7 @@ from dbarn.neumann import (
     verify_gram_positive_definite_exact,
 )
 from dbarn.sobolev import MonomialBasis, SobolevGram, charge_exponents, gram_block
-from oracles import exact_galerkin_solutions, fraction_solve
+from oracles import exact_adjoint, exact_galerkin_solutions, exact_hodge_split, fraction_solve
 
 DZBAR = FormPoly(1, 1, {(1,): CPolynomial.const(1, 1)})
 
@@ -54,13 +54,22 @@ def test_degree_caps():
         DiscreteComplex.build(50, 1)
 
 
-def test_adjoint_zero_and_identity_gram():
-    basis = MonomialBasis(2)
-    eye = SobolevGram(s=0, basis=basis, matrix=np.eye(basis.dim))
-    a = np.zeros((basis.dim, basis.dim))
-    assert not adjoint(a, eye, eye).any()
-    m = np.arange(36, dtype=float).reshape(6, 6) + 1j
-    assert np.allclose(adjoint(m, eye, eye), m.conj().T)
+def test_adjoint_rejects_a_foreign_operator_or_gram():
+    cx = DiscreteComplex.build(6, 1)
+    eye = SobolevGram(s=1, basis=cx.basis, matrix=np.eye(cx.basis.dim))
+    other = DiscreteComplex.build(6, 2)
+    for args in [(2 * cx.dbar_matrix, cx.gram, cx.form_gram),
+                 (cx.dbar_matrix[:, :-1], cx.gram, cx.form_gram),
+                 (cx.dbar_matrix, eye, cx.form_gram),
+                 (cx.dbar_matrix, cx.gram, other.form_gram),
+                 (cx.dbar_matrix, cx.gram, cx.gram)]:
+        with pytest.raises(ValueError, match="DiscreteComplex"):
+            adjoint(*args)
+    # a Gram pair equal to the complex's, though not the cached objects, is accepted
+    copies = [SobolevGram(s=1, basis=g.basis, matrix=g.matrix.copy())
+              for g in (cx.gram, cx.form_gram)]
+    assert (adjoint(cx.dbar_matrix, *copies) != adjoint(cx.dbar_matrix, cx.gram,
+                                                        cx.form_gram)).nnz == 0
 
 
 def test_adjoint_defining_property(rng):
@@ -155,13 +164,39 @@ def relative_error(coeffs: np.ndarray, exact: np.ndarray) -> float:
 
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_galerkin_solutions_match_exact_oracle(s, rng):
-    cx = DiscreteComplex.build(12, s)
-    for _ in range(3):
-        f = (rng.standard_normal(cx.form_basis.dim)
-             + 1j * rng.standard_normal(cx.form_basis.dim))
-        canonical, neumann = exact_galerkin_solutions(f, 12, s)
+    # the float solves apply exact operators rounded once, so they stay at
+    # rounding level where the Gram's float64 factorization has broken down
+    for d in (12, 16, 20, 24):
+        cx = DiscreteComplex.build(d, s)
+        f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
+        canonical, neumann = exact_galerkin_solutions(f, d, s)
         assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, canonical) <= 1e-14
-        assert relative_error(neumann_solve(f, cx=cx).coeffs, neumann) <= 1e-8
+        assert relative_error(neumann_solve(f, cx=cx).coeffs, neumann) <= 1e-15
+        g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
+        for part, exact in zip(hodge_decompose(g, cx=cx), exact_hodge_split(g, d, s)):
+            assert relative_error(part, exact) <= 1e-15
+        a_star = adjoint(cx.dbar_matrix, cx.gram, cx.form_gram).toarray()
+        assert relative_error(a_star, exact_adjoint(d, s)) <= 1e-15
+
+
+def exact_poly(vec: np.ndarray, basis: MonomialBasis) -> CPolynomial:
+    """The polynomial whose coefficients are exactly the floats of vec."""
+    return CPolynomial(1, {((a,), (b,)): CRational(Fraction(c.real), Fraction(c.imag))
+                           for (a, b), c in zip(basis.exponents, vec)})
+
+
+def test_float_solves_at_the_degree_cap_match_the_exact_path(rng):
+    # the Gram's float64 factorization fails here; the float solves agree with
+    # the exact per-charge solves of the same (dyadic) coefficients
+    cx = DiscreteComplex.build(40, 1)
+    f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
+    exact = neumann_solve(exact_poly(f, cx.form_basis), cx=cx).coeffs
+    assert relative_error(neumann_solve(f, cx=cx).coeffs, exact) <= 1e-15
+    g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
+    for part, exact in zip(hodge_decompose(g, cx=cx), hodge_decompose(exact_poly(g, cx.basis),
+                                                                        cx=cx)):
+        assert relative_error(part, exact) <= 1e-15
+    assert np.all(np.isfinite(adjoint(cx.dbar_matrix, cx.gram, cx.form_gram).data))
 
 
 # -- the Neumann solve ----------------------------------------------------------------
@@ -328,6 +363,13 @@ def test_hodge_orthogonality_and_top_degree_artifact(cx1, rng):
         # f2 is W^s-orthogonal to the whole range subspace, not just to f1
         pair = cx1.gram.matrix @ f2
         assert np.max(np.abs(pair[: cx1.form_basis.dim])) < 1e-8 * max(n2, 1.0)
+
+
+def test_hodge_of_an_integer_vector_is_not_truncated(cx1):
+    f = np.zeros(cx1.basis.dim, dtype=int)
+    f[cx1.basis.index_of(6, 6)] = 1
+    for part, expect in zip(hodge_decompose(f, cx=cx1), hodge_decompose(f.astype(float), cx=cx1)):
+        assert np.array_equal(part, expect)
 
 
 # -- Green identity -------------------------------------------------------------------

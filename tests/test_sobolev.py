@@ -139,14 +139,18 @@ def test_gram_cache_returns_same_object():
     assert a is b
 
 
-def test_gram_csv_export(tmp_path):
-    gram = assemble_gram(MonomialBasis(1), 0)
-    path = tmp_path / "gram.csv"
-    gram.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,a_i,b_i,a_j,b_j,value"
-    assert len(lines) == 1 + gram.dim**2
-    assert float(lines[1].split(",")[-1]) == gram.matrix[0, 0]
+def test_inner_matches_the_complex_product(rng):
+    # the real-view product agrees with the product on a complex copy of the
+    # Gram, relative to |a|_s |b|_s (the sums may run in another order)
+    for s in (0, 1, 2):
+        gram = assemble_gram(MonomialBasis(24), s)
+        for _ in range(5):
+            u, v = (rng.standard_normal((2, gram.dim)) + 1j * rng.standard_normal((2, gram.dim)))
+            for a, b in ((u, v), (u, u), (u.real, v)):
+                expect = np.conj(b) @ (gram.matrix @ a)
+                scale = math.sqrt((np.conj(a) @ (gram.matrix @ a)).real
+                                  * (np.conj(b) @ (gram.matrix @ b)).real)
+                assert abs(gram.inner(a, b) - expect) <= 1e-15 * scale
 
 
 def test_gram_block_matches_symbolic_oracle():
