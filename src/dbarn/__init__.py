@@ -20,7 +20,6 @@ from .multiindex import (
     binomial_double_sum,
     count_multiindices,
     enumerate_multiindices,
-    enumerate_up_to,
     gamma,
     multinomial_power_identity_check,
     multinomial_sum,

@@ -132,11 +132,11 @@ class IntervalSolution:
     condition: float
     max_boundary_residual: float
 
-    def evaluate(self, x: np.ndarray, deriv: int = 0) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for lam, c in zip(self.roots, self.coeffs):
-            out += c * lam**deriv * np.exp(lam * x)
+            out += c * np.exp(lam * x)
         return out
 
 
@@ -264,23 +264,41 @@ def manufactured_interval_problem(s: int, rng: np.random.Generator,
     return problem, exact
 
 
+def interval_manufactured_error(s: int, rng: np.random.Generator
+                                ) -> tuple[IntervalSolution, float]:
+    """Solve a manufactured problem drawn from rng (``manufactured_interval_problem``)
+    in the exponential basis: the solution and its max error on 41 uniform nodes."""
+    problem, exact = manufactured_interval_problem(s, rng)
+    sol = solve_interval(problem)
+    xs = np.linspace(0.0, 1.0, 41)
+    return sol, float(np.max(np.abs(sol.evaluate(xs) - exact.evaluate(xs))))
+
+
+def interval_fd_errors(s: int, rng: np.random.Generator, sizes: Sequence[int]) -> list[float]:
+    """Max nodal error of ``solve_interval_fd`` at each grid size, on one manufactured
+    problem without lower-order terms drawn from rng."""
+    problem, exact = manufactured_interval_problem(s, rng, with_lower_order=False)
+    return [float(np.max(np.abs(u - exact.evaluate(x))))
+            for x, u in (solve_interval_fd(problem, n) for n in sizes)]
+
+
 # -- the adjoint-correction operator K on the disc (s = 1) ----------------------
 
 
-def bessel_i_series(m: int, r: np.ndarray, terms: int = 60) -> np.ndarray:
+def bessel_i_series(m: int, r: np.ndarray) -> np.ndarray:
     """Modified Bessel function I_m by its power series (exact oracle on [0,1])."""
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
-    for k in range(terms):
+    for k in range(60):
         c = 1.0 / (math.factorial(k) * math.factorial(k + m))
         out += c * (r / 2.0) ** (2 * k + m)
     return out
 
 
-def bessel_i_series_derivative(m: int, r: np.ndarray, terms: int = 60) -> np.ndarray:
+def bessel_i_series_derivative(m: int, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
-    for k in range(terms):
+    for k in range(60):
         p = 2 * k + m
         if p == 0:
             continue
@@ -374,6 +392,14 @@ class DiscKOperator:
         spectrum = hat * self._stack
         spectrum *= geom.n_theta  # (hat * profile) * M, column by column
         return SampledField(geom, np.fft.ifft(spectrum, axis=1))
+
+    def bessel_oracle_error(self) -> float:
+        """Max error of the solve with unit Neumann datum against its exact radial
+        solution I_0(r) / I_0'(1), over the radial nodes."""
+        omega = self.solve_with_boundary_data(np.ones(self.geom.n_theta))
+        exact = (bessel_i_series(0, self.geom.r)
+                 / bessel_i_series_derivative(0, np.array([1.0]))[0])
+        return float(np.max(np.abs(omega.values[:, 0] - exact)))
 
     # -- boundary data of the order-2 operator ----------------------------------
 

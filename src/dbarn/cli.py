@@ -28,7 +28,9 @@ SCHEMA_VERSION = 1
 
 CAPS = {
     "s_ellipticity": (1, 6),
-    "s_sobolev": (0, 4),
+    "xi": (1e-6, 1e6),  # every s <= 6 runs warning-free from 1e-8 to 1e8
+    # blowup cutoff: inside the disc, no finer than the smallest eps resolved
+    "delta": (2.0**-12, 1.0),
     "s_neumann": (0, 2),
     "s_bvp": (1, 3),
     "d": (1, 40),
@@ -63,7 +65,7 @@ class RunConfig:
     criteria: str | None = None
 
 
-def _check_cap(name: str, value: int, cap_key: str) -> None:
+def _check_cap(name: str, value: float, cap_key: str) -> None:
     lo, hi = CAPS[cap_key]
     if not lo <= value <= hi:
         raise SystemExit(f"error: {name}={value} is outside the supported "
@@ -114,17 +116,22 @@ def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPo
     return phi
 
 
+def _record(config: RunConfig, payload: dict) -> str:
+    """The JSON record of a run, written to --out when one is given."""
+    text = json.dumps({"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
+                       "seed": config.seed, **payload},
+                      sort_keys=True, indent=2, default=str)
+    if config.out:
+        Path(config.out).write_text(text + "\n")
+    return text
+
+
 def _emit(config: RunConfig, payload: dict, rows: list[dict] | None = None,
           columns: tuple[str, ...] | None = None) -> int:
     """Print (and with --out write) the JSON record; with --csv write the rows.
 
     A table that can be empty passes its columns, so it writes only a header."""
-    payload = {"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
-               "seed": config.seed, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
-    print(text)
+    print(_record(config, payload))
     if rows is not None and config.csv_out:
         with open(config.csv_out, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=columns or list(rows[0]))
@@ -140,12 +147,7 @@ def _emit(config: RunConfig, payload: dict, rows: list[dict] | None = None,
 
 def _cmd_identities(config: RunConfig) -> int:
     results = [acceptance.run_criterion(k, config.seed) for k in (1, 2, 3, 4)]
-    payload = {
-        "pass": all(r.passed for r in results),
-        "results": [{"criterion": r.number, "name": r.name, "pass": r.passed,
-                     "details": r.details} for r in results],
-    }
-    return _emit(config, payload)
+    return _emit(config, acceptance.results_payload(results))
 
 
 def _cmd_ellipticity(config: RunConfig) -> int:
@@ -153,8 +155,10 @@ def _cmd_ellipticity(config: RunConfig) -> int:
     _check_cap("--s", s, "s_ellipticity")
     points = config.points if config.points is not None else 25
     _check_count("--points", points, 1)
-    if not 0.0 < config.xi_min <= config.xi_max:
-        raise SystemExit("error: the frequency range needs 0 < --xi-min <= --xi-max")
+    _check_cap("--xi-min", config.xi_min, "xi")
+    _check_cap("--xi-max", config.xi_max, "xi")
+    if config.xi_min > config.xi_max:
+        raise SystemExit("error: the frequency range needs --xi-min <= --xi-max")
     grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max), points)
     report = ellipticity.certify_trivial_kernel(s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
@@ -173,25 +177,17 @@ def _cmd_bvp1d(config: RunConfig) -> int:
     _check_cap("--s", s, "s_bvp")
     _check_count("--fd-nodes", config.fd_nodes, 6 * s)
     rng = np.random.default_rng(config.seed)
-    problem, exact = bvp.manufactured_interval_problem(s, rng)
-    sol = bvp.solve_interval(problem)
-    xs = np.linspace(0.0, 1.0, 41)
-    err = float(np.max(np.abs(sol.evaluate(xs) - exact.evaluate(xs))))
-    fd_prob, fd_exact = bvp.manufactured_interval_problem(s, rng,
-                                                          with_lower_order=False)
-    errs = []
-    for n in (config.fd_nodes, 2 * config.fd_nodes):
-        x, u = bvp.solve_interval_fd(fd_prob, n)
-        errs.append(float(np.max(np.abs(u - fd_exact.evaluate(x)))))
+    sol, err = bvp.interval_manufactured_error(s, rng)
+    errs = bvp.interval_fd_errors(s, rng, (config.fd_nodes, 2 * config.fd_nodes))
     ratio = errs[0] / errs[1]
+    tol, (lo, hi) = acceptance.INTERVAL_TOL, acceptance.FD_RATIO
     payload = {
         "s": s,
-        "manufactured_error": {"value": err, "tolerance": 1e-10},
-        "boundary_residual": {"value": sol.max_boundary_residual, "tolerance": 1e-10},
+        "manufactured_error": {"value": err, "tolerance": tol},
+        "boundary_residual": {"value": sol.max_boundary_residual, "tolerance": tol},
         "collocation_condition": sol.condition,
-        "fd_convergence_ratio": {"value": ratio, "window": [3.5, 4.5]},
-        "pass": err <= 1e-10 and sol.max_boundary_residual <= 1e-10
-                and 3.5 <= ratio <= 4.5,
+        "fd_convergence_ratio": {"value": ratio, "window": acceptance.FD_RATIO},
+        "pass": err <= tol and sol.max_boundary_residual <= tol and lo <= ratio <= hi,
     }
     return _emit(config, payload)
 
@@ -199,24 +195,17 @@ def _cmd_bvp1d(config: RunConfig) -> int:
 def _cmd_kop(config: RunConfig) -> int:
     _check_cap("--radial-nodes", config.radial_nodes, "radial_nodes")
     _check_cap("--angular-nodes", config.angular_nodes, "angular_nodes")
-    top = config.angular_nodes // 2
-    if config.mode_max is not None and not 0 <= config.mode_max <= top:
-        raise SystemExit(f"error: --mode-max={config.mode_max} is outside the range "
-                         f"0..{top} of a {config.angular_nodes}-node angular grid")
     try:
         geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
                                          config.boundary_refine_depth)
+        op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
-    omega = op.solve_with_boundary_data(np.ones(geom.n_theta))
-    exact = (bvp.bessel_i_series(0, geom.r)
-             / bvp.bessel_i_series_derivative(0, np.array([1.0]))[0])
-    bessel_err = float(np.max(np.abs(omega.values[:, 0] - exact)))
+    bessel_err, tol = op.bessel_oracle_error(), acceptance.BESSEL_TOL
     payload = {
         "mode_max": op.mode_max,
-        "bessel_oracle_error": {"value": bessel_err, "tolerance": 1e-6},
-        "pass": bessel_err <= 1e-6,
+        "bessel_oracle_error": {"value": bessel_err, "tolerance": tol},
+        "pass": bessel_err <= tol,
     }
     if config.input:
         psi = _load_form(config)
@@ -260,12 +249,12 @@ def _cmd_canonical(config: RunConfig) -> int:
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d - 1)
     sol = neumann.canonical_solve_dbar(phi, s=s, d=config.d)
-    rows = _form_rows(MonomialBasis(config.d), sol.coeffs)
+    rows, tol = _form_rows(MonomialBasis(config.d), sol.coeffs), acceptance.CANONICAL_TOL
     payload = {
         "s": s, "d": config.d,
-        "residual": {"value": sol.residual, "tolerance": 1e-10},
-        "kernel_orthogonality": {"value": sol.kernel_orthogonality, "tolerance": 1e-10},
-        "pass": sol.residual <= 1e-10 and sol.kernel_orthogonality <= 1e-10,
+        "residual": {"value": sol.residual, "tolerance": tol},
+        "kernel_orthogonality": {"value": sol.kernel_orthogonality, "tolerance": tol},
+        "pass": sol.residual <= tol and sol.kernel_orthogonality <= tol,
         "solution": rows,
     }
     return _emit(config, payload, rows, columns=FORM_COLUMNS)
@@ -277,13 +266,13 @@ def _cmd_neumann(config: RunConfig) -> int:
     _check_cap("--d", config.d, "d")
     phi = _load_form(config, max_degree=config.d - 1)
     sol = neumann.neumann_solve(phi, s=s, d=config.d)
-    rows = _form_rows(MonomialBasis(config.d - 1), sol.coeffs)
+    rows, tol = _form_rows(MonomialBasis(config.d - 1), sol.coeffs), acceptance.NEUMANN_TOL
     payload = {
         "s": s, "d": config.d,
-        "residual": {"value": sol.residual, "tolerance": 1e-8},
+        "residual": {"value": sol.residual, "tolerance": tol},
         "norm_ratio": sol.norm_ratio,
-        "canonical_match": {"value": sol.canonical_match, "tolerance": 1e-8},
-        "pass": sol.residual <= 1e-8 and sol.canonical_match <= 1e-8,
+        "canonical_match": {"value": sol.canonical_match, "tolerance": tol},
+        "pass": sol.residual <= tol and sol.canonical_match <= tol,
         "solution": rows,
     }
     return _emit(config, payload, rows, columns=FORM_COLUMNS)
@@ -309,8 +298,8 @@ def _cmd_hodge(config: RunConfig) -> int:
         "s": s, "d": config.d,
         "range_part_norm": n1,
         "orthogonal_part_norm": n2,
-        "orthogonality_defect": {"value": ortho, "tolerance": 1e-10},
-        "pass": ortho <= 1e-10,
+        "orthogonality_defect": {"value": ortho, "tolerance": acceptance.HODGE_TOL},
+        "pass": ortho <= acceptance.HODGE_TOL,
         "range_part": parts["range"],
         "orthogonal_part": parts["orthogonal"],
     }
@@ -335,8 +324,8 @@ def _cmd_greens(config: RunConfig) -> int:
                      "boundary_re": res.boundary.real, "residual": res.residual})
     payload = {
         "s": s, "trials": config.trials,
-        "max_residual": {"value": worst, "tolerance": 1e-10},
-        "pass": worst <= 1e-10,
+        "max_residual": {"value": worst, "tolerance": acceptance.GREENS_TOL},
+        "pass": worst <= acceptance.GREENS_TOL,
     }
     return _emit(config, payload, rows)
 
@@ -345,21 +334,23 @@ def _cmd_blowup(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
     if s not in (1, 2):
         raise SystemExit("error: --s must be 1 or 2 for the blow-up experiment")
-    if not 2.0**-12 <= config.eps_min <= config.eps_max <= 2.0**-3:
-        raise SystemExit("error: eps range must lie inside [2^-12, 2^-3]")
+    if not 2.0**-12 <= config.eps_min < config.eps_max <= 2.0**-3:
+        raise SystemExit("error: the eps range needs 2^-12 <= --eps-min < --eps-max <= 2^-3")
+    _check_cap("--delta", config.delta, "delta")
     count = config.points if config.points is not None else 8
     _check_count("--points", count, 2)  # the slope needs two points
     eps_list = list(np.geomspace(config.eps_max, config.eps_min, count))
     rep = neumann.blowup_experiment(s, eps_list, delta=config.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}
             for row in rep.rows]
+    (lo, hi), tol = acceptance.BLOWUP_SLOPE, acceptance.BLOWUP_NORM_RATIO
     payload = {
         "s": s, "delta": config.delta, "test_form": rep.test_form,
-        "slope": {"value": rep.slope, "window": [-0.35, -0.15]},
-        "norm_ratio": {"value": rep.norm_ratio, "tolerance": 1.5},
+        "slope": {"value": rep.slope, "window": acceptance.BLOWUP_SLOPE},
+        "norm_ratio": {"value": rep.norm_ratio, "tolerance": tol},
         "pairing_monotone": rep.pairing_monotone,
         "rows": rows,
-        "pass": -0.35 <= rep.slope <= -0.15 and rep.norm_ratio <= 1.5,
+        "pass": lo <= rep.slope <= hi and rep.norm_ratio <= tol,
     }
     return _emit(config, payload, rows)
 
@@ -382,16 +373,8 @@ def _cmd_verify_all(config: RunConfig) -> int:
         res = acceptance.run_criterion(k, config.seed)
         print(res.summary())
         results.append(res)
-    payload = {
-        "pass": all(r.passed for r in results),
-        "results": [{"criterion": r.number, "name": r.name, "pass": r.passed,
-                     "details": r.details} for r in results],
-    }
-    text = json.dumps({"schema": SCHEMA_VERSION, "subcommand": "verify-all",
-                       "seed": config.seed, **payload},
-                      sort_keys=True, indent=2, default=str)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
+    payload = acceptance.results_payload(results)
+    _record(config, payload)
     ok = payload["pass"]
     print(f"verify-all: {'pass' if ok else 'FAIL'} "
           f"({sum(r.passed for r in results)}/{len(results)} criteria)")

@@ -164,8 +164,7 @@ class LopatinskiReport:
     passed: bool
 
 
-def certify_trivial_kernel(s: int, xi_grid: Sequence[float],
-                           threshold: float = DET_THRESHOLD) -> LopatinskiReport:
+def certify_trivial_kernel(s: int, xi_grid: Sequence[float]) -> LopatinskiReport:
     """Check uniform nonsingularity of the boundary collocation over xi_grid.
 
     The matrix is equilibrated before the determinant test: columns are
@@ -192,10 +191,10 @@ def certify_trivial_kernel(s: int, xi_grid: Sequence[float],
         det_scaled = float(np.linalg.det(scaled))
         samples.append(LopatinskiSample(
             xi=float(xi), det=raw_det, det_scaled=det_scaled,
-            passed=abs(det_scaled) > threshold,
+            passed=abs(det_scaled) > DET_THRESHOLD,
         ))
     return LopatinskiReport(
-        s=s, threshold=threshold, samples=tuple(samples),
+        s=s, threshold=DET_THRESHOLD, samples=tuple(samples),
         passed=all(smp.passed for smp in samples),
     )
 

@@ -186,11 +186,6 @@ class DiscGeometry:
         return self._cached("nu", lambda: (np.cos(self.theta), np.sin(self.theta)))
 
     @property
-    def rho(self) -> np.ndarray:
-        """Signed distance r - 1 at the radial nodes."""
-        return self.r - 1.0
-
-    @property
     def rho_z_phase(self) -> np.ndarray:
         """d(rho)/dz = exp(-i theta)/2 along each ray (r-independent), shape (M,)."""
         return self._cached("rho_z", lambda: 0.5 * np.exp(-1j * self.theta))
@@ -296,7 +291,6 @@ class SampledField:
 
     geom: DiscGeometry
     values: np.ndarray
-    form_degree: int | None = None
 
     def __post_init__(self) -> None:
         expected = (self.geom.n_r, self.geom.n_theta)
@@ -323,35 +317,29 @@ class SampledField:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _wrap(self, values: np.ndarray) -> "SampledField":
-        return SampledField(self.geom, values, self.form_degree)
-
     def __add__(self, other: "SampledField") -> "SampledField":
-        return self._wrap(self.values + other.values)
+        return SampledField(self.geom, self.values + other.values)
 
     def __sub__(self, other: "SampledField") -> "SampledField":
-        return self._wrap(self.values - other.values)
+        return SampledField(self.geom, self.values - other.values)
 
     def __mul__(self, other) -> "SampledField":
         if isinstance(other, SampledField):
-            return self._wrap(self.values * other.values)
-        return self._wrap(self.values * other)
+            return SampledField(self.geom, self.values * other.values)
+        return SampledField(self.geom, self.values * other)
 
     __rmul__ = __mul__
-
-    def conj(self) -> "SampledField":
-        return self._wrap(np.conj(self.values))
 
     # -- derivatives ------------------------------------------------------------
 
     def radial_derivative(self, order: int = 1) -> "SampledField":
         mat = self.geom.radial_derivative_matrix(order)
-        return self._wrap(mat @ self.values)
+        return SampledField(self.geom, mat @ self.values)
 
     def theta_derivative(self, order: int = 1) -> "SampledField":
         mult = self.geom.theta_multiplier(order)
         vals = np.fft.ifft(np.fft.fft(self.values, axis=1) * mult[None, :], axis=1)
-        return self._wrap(vals)
+        return SampledField(self.geom, vals)
 
     def boundary_values(self) -> np.ndarray:
         return self.values[-1].copy()

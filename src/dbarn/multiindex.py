@@ -110,14 +110,6 @@ def enumerate_multiindices(order: int, dim: int) -> list[MultiIndex]:
     return out
 
 
-def enumerate_up_to(order: int, dim: int) -> list[MultiIndex]:
-    """All multi-indices with |alpha| <= order, grouped by ascending order."""
-    out: list[MultiIndex] = []
-    for k in range(order + 1):
-        out.extend(enumerate_multiindices(k, dim))
-    return out
-
-
 def multinomial_sum(nu: Sequence[Fraction | int], s: int) -> Fraction:
     """Sum of gamma(alpha) * nu^(2*alpha) over |alpha| = s, exact.
 

@@ -85,7 +85,9 @@ def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows + deg + 2, rows - deg * (deg + 1) // 2 + 1
 
 
-def _check_size(d: int, s: int) -> None:
+def _check_size(d: int | None, s: int | None) -> None:
+    if s is None or d is None:
+        raise ValueError(f"missing {'s' if s is None else 'd'}: give s and d, or a complex cx")
     if not 0 <= s <= MAX_NEUMANN_S:
         raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
     if not 1 <= d <= MAX_NEUMANN_D:
@@ -447,6 +449,14 @@ class _ChargeSetup:
         """Y = M^-1 as integer rows over their denominator."""
         return _normal_inverse(self.func, self.func_den, self.hol, self.weights)
 
+    @cached_property
+    def form_elimination(self) -> tuple[list[list[int]], int]:
+        """[G_form | Y | G[form rows, degree d]] after Bareiss, and det(form): with
+        Y = y / y_den the rows read [det I | det form^-1 y | det form^-1 block[:, nf:]]."""
+        y, _ = self.normal_inverse
+        work = [g + yr + br[self.nf:] for g, yr, br in zip(self.form, y, self.block)]
+        return work, _bareiss(work)[-1]
+
     def least_norm(self, f: _Scaled) -> _Scaled:
         """The canonical solution of A v = f, v_S = D^-1 f and v_h = -(G_hS v_S) / G_hh."""
         lb = math.lcm(*self.weights)
@@ -496,11 +506,10 @@ def _operators(cx: DiscreteComplex) -> tuple:
 
         d = cx.basis.degree
         for cs in _charge_setups(d, cx.s, range(-(d - 1), d)):
-            nf, (y, y_den) = cs.nf, cs.normal_inverse
+            nf, y_den = cs.nf, cs.normal_inverse[1]
             form = [cx.form_basis.index_of(*e) for e in cs.exps[:nf]]
             cols = [cx.basis.index_of(*e) for e in cs.exps]
-            work = [g + yr + br[nf:] for g, yr, br in zip(cs.form, y, cs.block)]
-            det = _bareiss(work)[-1]
+            work, det = cs.form_elimination
             put(0, form, form, work, nf, cs.form_den, det * y_den)
             coo[1].extend((i, j, 1.0) for i, j in zip(form, cols))
             put(1, form, cols[nf:], work, 2 * nf, cs.form_den, det * cs.den)
@@ -518,6 +527,7 @@ def _operators(cx: DiscreteComplex) -> tuple:
 
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
     """Certify positive definiteness of the degree-d W^s Gram, exactly."""
+    _check_size(d, s)
     for charge in range(-d, d + 1):
         rows, _ = gram_block_rows(charge_exponents(charge, d), s)
         if rows and not _positive_definite_exact(rows):
@@ -532,16 +542,15 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
     y = M^-1 e_k with M = A G_func^-1 A^T, and |N_s e_k|_s^2 = y^T G_form^-1 y;
     both Grams and the integer dbar block A live on single charges.  M^-1 is
     the closed-form Y of ``_normal_inverse``, so the only elimination left is
-    G_form W = Y, done fraction-free on integers, and |N_s e_k|_s^2 = (Y^T W)_kk.
+    G_form W = Y, the one ``_operators`` builds N from (``form_elimination``),
+    and |N_s e_k|_s^2 = (Y^T W)_kk.
     """
-    if s < 0 or s > MAX_NEUMANN_S:
-        raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
+    _check_size(d, s)
     best = Fraction(0)
     for cs in _charge_setups(d, s, range(-(d - 1), d)):
         y, y_den = cs.normal_inverse
         nf = cs.nf
-        rows = [g + yr for g, yr in zip(cs.form, y)]
-        det = _bareiss(rows)[-1]
+        rows, det = cs.form_elimination
         # rows[t][nf + k] = det (form^-1 y)[t][k], with G_form = form / form_den and
         # Y = y / y_den: (Y^T W)_kk / G_form[k][k]
         #   = form_den^2 (y^T form^-1 y)_kk / (y_den^2 form[k][k])
@@ -806,7 +815,7 @@ def domain_projection(phi: FormPoly, s: int, eps: float,
     c_s = (-1) ** s * 4.0 / math.factorial(s)
     rho_zbar = np.conj(geom.rho_z_phase)
     vals = c_s * cut[:, None] * g_vals * rho_zbar[None, :]
-    return SampledField(geom, vals, form_degree=1)
+    return SampledField(geom, vals)
 
 
 # -- the boundary blow-up experiment ---------------------------------------------
@@ -923,6 +932,8 @@ def blowup_experiment(s: int, eps_list: list[float] | None = None,
     """
     if s not in (1, 2):
         raise ValueError("the blow-up experiment supports s in {1, 2}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"the cutoff width delta must be positive and finite, not {delta}")
     if eps_list is None:
         eps_list = [2.0 ** (-k) for k in range(3, 11)]
     eps_list = sorted(eps_list, reverse=True)

@@ -11,7 +11,7 @@ import pytest
 
 import dbarn
 from dbarn.bvp import DiscKOperator, bessel_i_series, bessel_i_series_derivative
-from dbarn.cli import main
+from dbarn.cli import CAPS, main
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
 from dbarn.geometry import SampledField, default_geometry
 from dbarn.sobolev import MonomialBasis
@@ -360,6 +360,15 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
     pytest.param(["kop", "--mode-max", "5000"], {}, id="kop-mode-max-beyond-grid"),
     pytest.param(["kop", "--angular-nodes", "16", "--mode-max", "9"], {},
                  id="kop-mode-max-beyond-coarse-grid"),
+    pytest.param(["blowup", "--delta", "0"], {}, id="blowup-delta-0"),
+    pytest.param(["blowup", "--delta", "-0.5"], {}, id="blowup-delta-negative"),
+    pytest.param(["blowup", "--delta", "1e300"], {}, id="blowup-delta-huge"),
+    pytest.param(["blowup", "--eps-min", "0.125"], {}, id="blowup-eps-range-empty"),
+    pytest.param(["ellipticity", "--s", "6", "--xi-min", "1e13", "--xi-max", "1e13",
+                  "--points", "1"], {}, id="ellipticity-xi-1e13"),
+    pytest.param(["ellipticity", "--s", "6", "--xi-min", "1e30", "--xi-max", "1e30",
+                  "--points", "1"], {}, id="ellipticity-xi-1e30"),
+    pytest.param(["ellipticity", "--xi-max", "1e300"], {}, id="ellipticity-xi-max-huge"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():
@@ -369,6 +378,56 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     message = str(err.value)
     assert message.startswith("error:") and "\n" not in message
     assert capsys.readouterr().out == ""  # refused before any work ran
+
+
+def corners(cap_key: str, interior) -> tuple:
+    lo, hi = CAPS[cap_key]
+    return lo, interior, hi
+
+
+# Each capped flag at its lower cap, one interior value and its upper cap, the
+# other flags at their defaults; flags bounded only from below (--points,
+# --trials, --fd-nodes) at that bound and one value above it.
+CAP_GRID = {
+    "ellipticity": {"--s": corners("s_ellipticity", 3), "--xi-min": corners("xi", 1.0),
+                    "--xi-max": corners("xi", 1.0), "--points": (1, 7)},
+    "greens": {"--s": (0, 1, 2), "--trials": (1, 3)},
+    "blowup": {"--s": (1, 2), "--eps-min": (2.0**-12, 2.0**-6, 2.0**-3),
+               "--eps-max": (2.0**-12, 2.0**-6, 2.0**-3), "--points": (2, 5),
+               "--delta": corners("delta", 0.25)},
+    "bvp1d": {"--s": corners("s_bvp", 2), "--fd-nodes": (6, 64)},
+    "kop": {"--radial-nodes": corners("radial_nodes", 600),
+            "--angular-nodes": corners("angular_nodes", 64),
+            "--mode-max": (0, 32, 64), "--boundary-refine-depth": (1, 8, 24)},
+}
+# records that may report FAIL: the order-6 FD solve does not converge, the
+# coarsest radial grid misses the Bessel oracle, and a cutoff narrower than
+# the eps range breaks the bounded-norm family
+MAY_FAIL = {("bvp1d", "--s", "3"), ("kop", "--radial-nodes", "16"),
+            ("blowup", "--delta", str(2.0**-12))}
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    pytest.param([command, flag, str(value)], id=f"{command}{flag}={value}")
+    for command, flags in CAP_GRID.items() for flag, values in flags.items()
+    for value in values])
+def test_cap_grid_gives_a_json_record_or_one_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        message = str(err)
+        assert message.startswith("error:") and "\n" not in message
+        return
+    text, status = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    record = json.loads(text, parse_constant=reject_constant)
+    assert (code, status) == ((0, f"{argv[0]}: pass") if record["pass"]
+                              else (1, f"{argv[0]}: FAIL"))
+    assert record["pass"] or tuple(argv) in MAY_FAIL, record
 
 
 @pytest.mark.parametrize("argv", [

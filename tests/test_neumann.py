@@ -54,6 +54,21 @@ def test_degree_caps():
         DiscreteComplex.build(50, 1)
 
 
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: verify_gram_positive_definite_exact(-3, 0), "1..40", id="pd-d-negative"),
+    pytest.param(lambda: neumann_operator_norm_proxy_exact(0, 1), "1..40", id="proxy-d-0"),
+    pytest.param(lambda: neumann_operator_norm_proxy_exact(-2, 1), "1..40", id="proxy-d-negative"),
+    pytest.param(lambda: neumann_operator_norm_proxy_exact(41, 1), "1..40", id="proxy-d-41"),
+    pytest.param(lambda: neumann_solve(np.ones(3)), "missing s", id="neumann-no-size"),
+    pytest.param(lambda: neumann_solve(np.ones(3), s=1), "missing d", id="neumann-no-d"),
+    pytest.param(lambda: canonical_solve_dbar(DZBAR, d=4), "missing s", id="canonical-form-no-s"),
+    pytest.param(lambda: hodge_decompose(np.ones(15), d=4), "missing s", id="hodge-no-s"),
+])
+def test_exact_entry_points_check_their_size(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_adjoint_rejects_a_foreign_operator_or_gram():
     cx = DiscreteComplex.build(6, 1)
     eye = SobolevGram(s=1, basis=cx.basis, matrix=np.eye(cx.basis.dim))
@@ -482,6 +497,9 @@ def test_blowup_validation():
         blowup_experiment(3)
     with pytest.raises(ValueError, match="2\\^-12"):
         blowup_experiment(1, [0.5])
+    for delta in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            blowup_experiment(1, delta=delta)
     coarse = default_geometry(radial_nodes=64, angular_nodes=32, refine_depth=2)
     with pytest.raises(ValueError, match="resolve"):
         blowup_experiment(1, [2.0**-8], geom=coarse)
