@@ -9,7 +9,8 @@ Two solvers live here.
    coefficients, so the solution space is spanned exactly by exponentials
    exp(lambda x) where -lambda^2 runs over the nontrivial (s+1)-th roots of
    unity; solving is collocation of the boundary operators on that basis.
-   A second-order finite-difference path provides an independent check.
+   A second-order finite-difference path (s <= 2) provides an independent
+   check.
 
 2. The adjoint-correction operator K on the unit disc for s = 1.  Its
    component solves
@@ -45,6 +46,10 @@ from .geometry import (
 )
 
 # -- 1D interval problem -------------------------------------------------------
+
+# from s = 3 the differences lose to roundoff at n = 128 with any closure tried
+MAX_FD_S = 2
+FD_CELLS_PER_S = 6  # the boundary stencils need at least 6 s cells
 
 
 def characteristic_roots(s: int) -> np.ndarray:
@@ -168,6 +173,15 @@ def solve_interval(problem: Interval1DProblem) -> IntervalSolution:
     return IntervalSolution(problem, roots, coeffs, cond, resid)
 
 
+def _check_fd_grid(s: int, n: int) -> None:
+    if not 1 <= s <= MAX_FD_S:
+        raise ValueError(f"the finite-difference solve supports s in 1..{MAX_FD_S}: "
+                         "from s = 3 its differences lose to roundoff")
+    if n < FD_CELLS_PER_S * s:
+        raise ValueError(f"a grid of {n} cells is too coarse for the boundary stencils "
+                         f"at s = {s}, which need at least {FD_CELLS_PER_S * s}")
+
+
 def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Second-order finite-difference solve on n+1 uniform nodes.
 
@@ -176,8 +190,7 @@ def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, n
     derivative).  Returns (grid, values).
     """
     s = problem.s
-    if n < 6 * s:
-        raise ValueError("grid too coarse for the boundary stencils")
+    _check_fd_grid(s, n)
     h = 1.0 / n
     x = np.linspace(0.0, 1.0, n + 1)
     rows, cols, vals = [], [], []
@@ -280,6 +293,16 @@ def interval_fd_errors(s: int, rng: np.random.Generator, sizes: Sequence[int]) -
     problem, exact = manufactured_interval_problem(s, rng, with_lower_order=False)
     return [float(np.max(np.abs(u - exact.evaluate(x))))
             for x, u in (solve_interval_fd(problem, n) for n in sizes)]
+
+
+def interval_experiment(s: int, rng: np.random.Generator, sizes: Sequence[int]
+                        ) -> tuple[IntervalSolution, float, list[float]]:
+    """``interval_manufactured_error`` and then ``interval_fd_errors``, drawn from rng in
+    that order; the finite-difference limits are checked before any work."""
+    for n in sizes:
+        _check_fd_grid(s, n)
+    sol, err = interval_manufactured_error(s, rng)
+    return sol, err, interval_fd_errors(s, rng, sizes)
 
 
 # -- the adjoint-correction operator K on the disc (s = 1) ----------------------

@@ -5,6 +5,11 @@ hodge | greens | blowup | verify-all.  A plain-text config file (key = value)
 can pre-set any flag of the chosen subcommand; explicit flags win.  Every run
 records its seed and every emitted check carries its tolerance next to the
 value.  The exit code is 0 exactly when all internal checks pass.
+
+Each input limit is the library function's own: ``main`` turns a ValueError
+into one ``error:`` line with exit 1 and nothing on stdout (handlers print only
+at the end).  The CLI checks only its flags: ordered ranges, ``--trials``,
+``--criteria``, the form and config files and the kop memory caps (``CAPS``).
 """
 
 from __future__ import annotations
@@ -26,19 +31,8 @@ from .sobolev import MonomialBasis
 
 SCHEMA_VERSION = 1
 
-CAPS = {
-    "s_ellipticity": (1, 6),
-    "xi": (1e-6, 1e6),  # every s <= 6 runs warning-free from 1e-8 to 1e8
-    # blowup cutoff: inside the disc, no finer than the smallest eps resolved
-    "delta": (2.0**-12, 1.0),
-    "s_neumann": (0, 2),
-    "s_bvp": (1, 3),
-    "d": (1, 40),
-    # kop grid: the lower ends are DiscGeometry's; at the upper ends a kop
-    # --input run peaks near 0.8 GB
-    "radial_nodes": (16, 4800),
-    "angular_nodes": (8, 1024),
-}
+# the kop grid's memory caps: at both a kop --input run peaks near 0.8 GB
+CAPS = {"radial_nodes": 4800, "angular_nodes": 1024}
 
 
 @dataclass
@@ -65,23 +59,22 @@ class RunConfig:
     criteria: str | None = None
 
 
-def _check_cap(name: str, value: float, cap_key: str) -> None:
-    lo, hi = CAPS[cap_key]
-    if not lo <= value <= hi:
-        raise SystemExit(f"error: {name}={value} is outside the supported "
-                         f"range {lo}..{hi}")
+def _check_cap(flag: str, value: int, cap_key: str) -> None:
+    if value > CAPS[cap_key]:
+        raise ValueError(f"{flag}={value} is above its memory cap {CAPS[cap_key]}")
 
 
-def _check_count(name: str, value: int, minimum: int) -> None:
-    if value < minimum:
-        raise SystemExit(f"error: {name}={value} must be at least {minimum}")
+def _check_log_range(lo_flag: str, lo: float, hi_flag: str, hi: float) -> None:
+    # the grid's own need; which values the computation takes is the library's
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"a log-spaced grid needs 0 < {lo_flag} <= {hi_flag} < inf")
 
 
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {what} {path}: {exc}") from None
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -91,28 +84,23 @@ def _read_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"error: {path}:{line_no}: expected 'key = value'")
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         out[key.replace("-", "_")] = value
     return out
 
 
-def _load_form(config: RunConfig, max_degree: int | None = None) -> forms.FormPoly:
+def _load_form(config: RunConfig) -> forms.FormPoly:
     if not config.input:
-        raise SystemExit("error: this subcommand needs --f/--input pointing at a "
+        raise ValueError("this subcommand needs --f/--input pointing at a "
                          "form file (see README for the format)")
     text = _read_text(config.input, "form file")
     try:
         phi = forms.form_from_text(text)
     except (ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: {config.input} is not a valid form file: {exc}") from None
+        raise ValueError(f"{config.input} is not a valid form file: {exc}") from None
     if phi.n != 1 or phi.q != 1:
-        raise SystemExit("error: disc experiments expect a (0,1)-form in one "
-                         "complex variable")
-    degree = phi.component((1,)).degree()
-    if max_degree is not None and degree > max_degree:
-        raise SystemExit(f"error: the input form has degree {degree}; {config.subcommand} "
-                         f"at --d {config.d} takes forms of degree at most {max_degree}")
+        raise ValueError("disc experiments expect a (0,1)-form in one complex variable")
     return phi
 
 
@@ -152,13 +140,8 @@ def _cmd_identities(config: RunConfig) -> int:
 
 def _cmd_ellipticity(config: RunConfig) -> int:
     s = config.s if config.s is not None else 2
-    _check_cap("--s", s, "s_ellipticity")
     points = config.points if config.points is not None else 25
-    _check_count("--points", points, 1)
-    _check_cap("--xi-min", config.xi_min, "xi")
-    _check_cap("--xi-max", config.xi_max, "xi")
-    if config.xi_min > config.xi_max:
-        raise SystemExit("error: the frequency range needs --xi-min <= --xi-max")
+    _check_log_range("--xi-min", config.xi_min, "--xi-max", config.xi_max)
     grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max), points)
     report = ellipticity.certify_trivial_kernel(s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
@@ -174,11 +157,8 @@ def _cmd_ellipticity(config: RunConfig) -> int:
 
 def _cmd_bvp1d(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    _check_cap("--s", s, "s_bvp")
-    _check_count("--fd-nodes", config.fd_nodes, 6 * s)
-    rng = np.random.default_rng(config.seed)
-    sol, err = bvp.interval_manufactured_error(s, rng)
-    errs = bvp.interval_fd_errors(s, rng, (config.fd_nodes, 2 * config.fd_nodes))
+    sol, err, errs = bvp.interval_experiment(s, np.random.default_rng(config.seed),
+                                             (config.fd_nodes, 2 * config.fd_nodes))
     ratio = errs[0] / errs[1]
     tol, (lo, hi) = acceptance.INTERVAL_TOL, acceptance.FD_RATIO
     payload = {
@@ -195,12 +175,9 @@ def _cmd_bvp1d(config: RunConfig) -> int:
 def _cmd_kop(config: RunConfig) -> int:
     _check_cap("--radial-nodes", config.radial_nodes, "radial_nodes")
     _check_cap("--angular-nodes", config.angular_nodes, "angular_nodes")
-    try:
-        geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
-                                         config.boundary_refine_depth)
-        op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
+                                     config.boundary_refine_depth)
+    op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
     bessel_err, tol = op.bessel_oracle_error(), acceptance.BESSEL_TOL
     payload = {
         "mode_max": op.mode_max,
@@ -245,9 +222,7 @@ def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
 
 def _cmd_canonical(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    _check_cap("--s", s, "s_neumann")
-    _check_cap("--d", config.d, "d")
-    phi = _load_form(config, max_degree=config.d - 1)
+    phi = _load_form(config)
     sol = neumann.canonical_solve_dbar(phi, s=s, d=config.d)
     rows, tol = _form_rows(MonomialBasis(config.d), sol.coeffs), acceptance.CANONICAL_TOL
     payload = {
@@ -262,9 +237,7 @@ def _cmd_canonical(config: RunConfig) -> int:
 
 def _cmd_neumann(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    _check_cap("--s", s, "s_neumann")
-    _check_cap("--d", config.d, "d")
-    phi = _load_form(config, max_degree=config.d - 1)
+    phi = _load_form(config)
     sol = neumann.neumann_solve(phi, s=s, d=config.d)
     rows, tol = _form_rows(MonomialBasis(config.d - 1), sol.coeffs), acceptance.NEUMANN_TOL
     payload = {
@@ -280,9 +253,7 @@ def _cmd_neumann(config: RunConfig) -> int:
 
 def _cmd_hodge(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    _check_cap("--s", s, "s_neumann")
-    _check_cap("--d", config.d, "d")
-    phi = _load_form(config, max_degree=config.d)
+    phi = _load_form(config)
     f1, f2 = neumann.hodge_decompose(phi, s=s, d=config.d)
     (g11, g12), (_, g22) = neumann.coefficient_gram_exact([f1, f2], config.d, s)
     n1, n2 = math.sqrt(math.pi * g11.re), math.sqrt(math.pi * g22.re)
@@ -309,9 +280,8 @@ def _cmd_hodge(config: RunConfig) -> int:
 
 def _cmd_greens(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    if not 0 <= s <= 2:
-        raise SystemExit("error: --s must lie in 0..2 for the exact identity check")
-    _check_count("--trials", config.trials, 1)
+    if config.trials < 1:
+        raise ValueError(f"--trials={config.trials} must be at least 1")
     rng = np.random.default_rng(config.seed)
     rows = []
     worst = 0.0
@@ -332,13 +302,8 @@ def _cmd_greens(config: RunConfig) -> int:
 
 def _cmd_blowup(config: RunConfig) -> int:
     s = config.s if config.s is not None else 1
-    if s not in (1, 2):
-        raise SystemExit("error: --s must be 1 or 2 for the blow-up experiment")
-    if not 2.0**-12 <= config.eps_min < config.eps_max <= 2.0**-3:
-        raise SystemExit("error: the eps range needs 2^-12 <= --eps-min < --eps-max <= 2^-3")
-    _check_cap("--delta", config.delta, "delta")
+    _check_log_range("--eps-min", config.eps_min, "--eps-max", config.eps_max)
     count = config.points if config.points is not None else 8
-    _check_count("--points", count, 2)  # the slope needs two points
     eps_list = list(np.geomspace(config.eps_max, config.eps_min, count))
     rep = neumann.blowup_experiment(s, eps_list, delta=config.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}
@@ -360,12 +325,11 @@ def _cmd_verify_all(config: RunConfig) -> int:
         try:
             numbers = sorted({int(tok) for tok in config.criteria.split(",")})
         except ValueError:
-            raise SystemExit(f"error: --criteria {config.criteria!r} is not a "
+            raise ValueError(f"--criteria {config.criteria!r} is not a "
                              "comma-separated list of numbers") from None
         bad = [k for k in numbers if not 1 <= k <= len(acceptance.CRITERIA)]
         if bad:
-            raise SystemExit(f"error: --criteria {bad[0]} is outside "
-                             f"1..{len(acceptance.CRITERIA)}")
+            raise ValueError(f"--criteria {bad[0]} is outside 1..{len(acceptance.CRITERIA)}")
     else:
         numbers = list(range(1, len(acceptance.CRITERIA) + 1))
     results = []
@@ -492,24 +456,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     values = {k: v for k, v in vars(args).items() if v is not None}
     config_path = values.pop("config", None)
-    if config_path:
-        flags = _subcommand_flags(parser, args.subcommand)
-        for key, raw in _read_config_file(config_path).items():
-            if key not in flags:
-                raise SystemExit(f"error: unknown config key {key!r} for "
-                                 f"{args.subcommand}")
-            if key in values:
-                continue  # explicit flag wins
-            convert = flags[key].type or str
-            try:
-                values[key] = convert(raw)
-            except ValueError:
-                raise SystemExit(f"error: {config_path}: {key} = {raw!r} is not "
-                                 f"a valid {convert.__name__}") from None
-    config = RunConfig(**values)
     try:
+        if config_path:
+            flags = _subcommand_flags(parser, args.subcommand)
+            for key, raw in _read_config_file(config_path).items():
+                if key not in flags:
+                    raise ValueError(f"unknown config key {key!r} for {args.subcommand}")
+                if key in values:
+                    continue  # explicit flag wins
+                convert = flags[key].type or str
+                try:
+                    values[key] = convert(raw)
+                except ValueError:
+                    raise ValueError(f"{config_path}: {key} = {raw!r} is not "
+                                     f"a valid {convert.__name__}") from None
+        config = RunConfig(**values)
         code = HANDLERS[config.subcommand](config)
         sys.stdout.flush()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     except BrokenPipeError:
         # the reader went away (``dbarn ... | head``): send what is still
         # buffered to devnull so the exit flush cannot fail again

@@ -35,6 +35,8 @@ from typing import Sequence
 import numpy as np
 
 DET_THRESHOLD = 1e-10
+MAX_CERTIFY_S = 6
+XI_RANGE = (1e-6, 1e6)  # s <= 6 is warning-free in 1e-8..1e8; at 1e13 det overflows
 
 # Exact symbol in derivative powers: {d_power: {xi^2 power: integer coeff}}.
 SymbolPoly = dict[int, dict[int, int]]
@@ -174,14 +176,18 @@ def certify_trivial_kernel(s: int, xi_grid: Sequence[float]) -> LopatinskiReport
     here: it leaves a residual factor xi^(s(s-1)/2) that drops below any
     fixed threshold for small xi at s >= 5 even though the matrix is
     uniformly nonsingular.  A near-singular matrix produces a failed sample,
-    not an exception.
+    not an exception; an empty grid, or an xi outside ``XI_RANGE``, is a
+    ValueError.
     """
-    if not 1 <= s <= 6:
-        raise ValueError("certification supports s in 1..6")
+    if not 1 <= s <= MAX_CERTIFY_S:
+        raise ValueError(f"certification supports s in 1..{MAX_CERTIFY_S}")
+    if len(xi_grid) == 0:
+        raise ValueError("the xi grid is empty")
+    lo, hi = XI_RANGE
+    if not all(lo <= xi <= hi for xi in xi_grid):
+        raise ValueError(f"xi values must lie in the certified range {lo:g}..{hi:g}")
     samples = []
     for xi in xi_grid:
-        if xi <= 0:
-            raise ValueError("xi grid must be positive")
         mat = lopatinski_matrix(s, xi)
         raw_det = float(np.linalg.det(mat))
         col_scale = np.max(np.abs(mat), axis=0)

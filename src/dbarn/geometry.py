@@ -46,6 +46,9 @@ if TYPE_CHECKING:
 
 R_EXCLUDE = 0.05  # tangential fields are not formed at or below this radius
 DEFAULT_STENCIL_SPACING = 0.012
+MIN_RADIAL_NODES = 16
+MIN_ANGULAR_NODES = 8
+MAX_REFINE_DEPTH = 24
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -125,12 +128,12 @@ class DiscGeometry:
     @classmethod
     def build(cls, radial_nodes: int = 600, angular_nodes: int = 128,
               refine_depth: int = 8) -> "DiscGeometry":
-        if radial_nodes < 16:
-            raise ValueError("radial_nodes must be at least 16")
-        if angular_nodes < 8 or angular_nodes % 2:
-            raise ValueError("angular_nodes must be an even number >= 8")
-        if refine_depth < 1 or refine_depth > 24:
-            raise ValueError("refine_depth must lie in 1..24")
+        if radial_nodes < MIN_RADIAL_NODES:
+            raise ValueError(f"radial_nodes must be at least {MIN_RADIAL_NODES}")
+        if angular_nodes < MIN_ANGULAR_NODES or angular_nodes % 2:
+            raise ValueError(f"angular_nodes must be an even number >= {MIN_ANGULAR_NODES}")
+        if not 1 <= refine_depth <= MAX_REFINE_DEPTH:
+            raise ValueError(f"refine_depth must lie in 1..{MAX_REFINE_DEPTH}")
         edges = [0.0] + [1.0 - 0.5**k for k in range(1, refine_depth + 1)] + [1.0]
         target_h = 1.0 / radial_nodes
         nodes = [0.0]

@@ -69,6 +69,11 @@ from .sobolev import (
 
 MAX_NEUMANN_S = 2
 MAX_NEUMANN_D = 40
+MAX_GREENS_S = 2
+BLOWUP_S = (1, 2)
+BLOWUP_EPS = (2.0**-12, 2.0**-3)
+# the cutoff lies inside the disc and is no finer than the smallest eps resolved
+BLOWUP_DELTA = (2.0**-12, 1.0)
 
 
 def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +109,6 @@ class DiscreteComplex:
     form_basis: MonomialBasis   # form component space, degree d-1
     gram: SobolevGram
     form_gram: SobolevGram
-    dbar_matrix: np.ndarray     # shape (form_dim, dim)
 
     @classmethod
     def build(cls, d: int, s: int) -> "DiscreteComplex":
@@ -112,12 +116,17 @@ class DiscreteComplex:
         basis = MonomialBasis(d)
         gram = assemble_gram(basis, s)
         form_gram = leading_subgram(gram, d - 1)
-        form_basis = form_gram.basis
-        cols, b = _dbar_pattern(d)
-        mat = np.zeros((form_basis.dim, basis.dim))
-        mat[np.arange(form_basis.dim), cols] = b
-        return cls(s=s, basis=basis, form_basis=form_basis, gram=gram,
-                   form_gram=form_gram, dbar_matrix=mat)
+        return cls(s=s, basis=basis, form_basis=form_gram.basis, gram=gram,
+                   form_gram=form_gram)
+
+    @cached_property
+    def dbar_matrix(self) -> np.ndarray:
+        """The dense dbar, shape (form_dim, dim), built on first read: the float
+        solves use ``_dbar_pattern`` instead."""
+        cols, b = _dbar_pattern(self.basis.degree)
+        mat = np.zeros((self.form_basis.dim, self.basis.dim))
+        mat[np.arange(self.form_basis.dim), cols] = b
+        return mat
 
     def holomorphic_indices(self) -> np.ndarray:
         """Indices of z^k, k = 0..d: in the degree-graded basis z^k sits at k(k+1)/2."""
@@ -518,7 +527,7 @@ def _operators(cx: DiscreteComplex) -> tuple:
             det = _bareiss(work)[-1]
             put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, work, len(work),
                 cs.func_den, det * cs.form_den)
-        nf, nu = cx.dbar_matrix.shape
+        nf, nu = cx.form_basis.dim, cx.basis.dim
         shapes = [(nf, nf), (nf, nu), (nu, nf)]
         cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
                                   for (i, j, v), shape in zip((zip(*t) for t in coo), shapes))
@@ -746,8 +755,8 @@ def greens_identity_check(phi: CPolynomial, psi: FormPoly | CPolynomial,
     (interior: disc monomial integrals; boundary: circle monomial integrals),
     so the residual is pure floating-point conversion noise.
     """
-    if s < 0 or s > 2:
-        raise ValueError("the exact identity check supports s in {0, 1, 2}")
+    if not 0 <= s <= MAX_GREENS_S:
+        raise ValueError(f"the exact identity check supports s in 0..{MAX_GREENS_S}")
     psi1 = psi.component((1,)) if isinstance(psi, FormPoly) else psi
     lhs = inner_s_exact(phi.diff_zbar(1), psi1, s)
     interior = inner_s_exact(phi, -psi1.diff_z(1), s)
@@ -928,24 +937,29 @@ def blowup_experiment(s: int, eps_list: list[float] | None = None,
     pairing it against a fixed admissible-direction form on the circle and
     fitting log|pairing| against log(eps) measures that exponent.  Radial
     derivatives of the family are analytic; only the cutoff profile values
-    are numeric.
+    are numeric.  The slope needs at least two distinct eps values.
     """
-    if s not in (1, 2):
-        raise ValueError("the blow-up experiment supports s in {1, 2}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"the cutoff width delta must be positive and finite, not {delta}")
+    if not BLOWUP_S[0] <= s <= BLOWUP_S[1]:
+        raise ValueError(f"the blow-up experiment supports s in {BLOWUP_S[0]}..{BLOWUP_S[1]}")
+    lo, hi = BLOWUP_DELTA
+    if not lo <= delta <= hi:
+        raise ValueError(f"the cutoff width delta must lie in {lo}..{hi}, not {delta}")
     if eps_list is None:
         eps_list = [2.0 ** (-k) for k in range(3, 11)]
     eps_list = sorted(eps_list, reverse=True)
-    if min(eps_list) < 2.0**-12 or max(eps_list) > 2.0**-3:
-        raise ValueError("eps values must lie in [2^-12, 2^-3]")
+    lo, hi = BLOWUP_EPS
+    if not all(lo <= eps <= hi for eps in eps_list):
+        raise ValueError(f"eps values must lie in [2^{math.log2(lo):.0f}, 2^{math.log2(hi):.0f}]")
+    finest = min(eps_list, default=hi)  # an empty list is refused below
     if geom is None:
-        depth = max(10, int(math.ceil(-math.log2(min(eps_list)))) + 3)
+        depth = max(10, int(math.ceil(-math.log2(finest))) + 3)
         geom = default_geometry(radial_nodes=900, angular_nodes=128, refine_depth=depth)
-    if geom.floor_width > min(eps_list) / 4.0:
+    if geom.floor_width > finest / 4.0:
         raise ValueError(
             f"radial grid (floor width {geom.floor_width:.2e}) does not resolve "
-            f"the smallest eps {min(eps_list):.2e}")
+            f"the smallest eps {finest:.2e}")
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"the slope needs two distinct eps values, not {len(set(eps_list))}")
 
     psi = blowup_test_form(s)
     m = (s + 1) // 2

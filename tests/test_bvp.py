@@ -96,6 +96,10 @@ def test_fd_grid_cap():
     prob = Interval1DProblem.shaped(2, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="coarse"):
         solve_interval_fd(prob, 8)
+    # order-6 differences lose to roundoff from n = 128 on
+    prob = Interval1DProblem.shaped(3, [0.0] * 3, [0.0] * 3)
+    with pytest.raises(ValueError, match="supports s"):
+        solve_interval_fd(prob, 128)
 
 
 # -- Bessel oracle ------------------------------------------------------------------

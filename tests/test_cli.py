@@ -10,10 +10,31 @@ import numpy as np
 import pytest
 
 import dbarn
-from dbarn.bvp import DiscKOperator, bessel_i_series, bessel_i_series_derivative
+from dbarn.bvp import (
+    FD_CELLS_PER_S,
+    MAX_FD_S,
+    DiscKOperator,
+    bessel_i_series,
+    bessel_i_series_derivative,
+)
 from dbarn.cli import CAPS, main
+from dbarn.ellipticity import MAX_CERTIFY_S, XI_RANGE
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
-from dbarn.geometry import SampledField, default_geometry
+from dbarn.geometry import (
+    MAX_REFINE_DEPTH,
+    MIN_ANGULAR_NODES,
+    MIN_RADIAL_NODES,
+    SampledField,
+    default_geometry,
+)
+from dbarn.neumann import (
+    BLOWUP_DELTA,
+    BLOWUP_EPS,
+    BLOWUP_S,
+    MAX_GREENS_S,
+    MAX_NEUMANN_D,
+    MAX_NEUMANN_S,
+)
 from dbarn.sobolev import MonomialBasis
 from oracles import (
     exact_galerkin_solutions,
@@ -117,14 +138,14 @@ def run_record(tmp_path, command: str, s: int, d: int, phi: FormPoly) -> dict:
     return payload
 
 
-@pytest.mark.parametrize("d", [1, 2, 20, 24, 30, 40])
+@pytest.mark.parametrize("d", [1, 2, 20, 24, 30, MAX_NEUMANN_D])
 @pytest.mark.parametrize("command", ["canonical", "neumann", "hodge"])
 def test_galerkin_commands_pass_across_the_cap_grid(tmp_path, capsys, command, d):
-    # exact per-charge solves: every s and d the caps accept gives a passing record
+    # exact per-charge solves: every s and d the library accepts gives a passing record
     top = d if command == "hodge" else d - 1  # highest form degree the command takes
     rng = np.random.default_rng(1000 + d)
     readme = CPolynomial.z(1, 1) if top >= 1 else CPolynomial.const(1, 1)  # z dzbar
-    for s in (0, 1, 2):
+    for s in range(MAX_NEUMANN_S + 1):
         for phi in (seeded_form(rng, top, 4, dyadic=False), FormPoly(1, 1, {(1,): readme})):
             payload = run_record(tmp_path, command, s, d, phi)
             for key in ("residual", "kernel_orthogonality", "canonical_match",
@@ -369,6 +390,7 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
     pytest.param(["ellipticity", "--s", "6", "--xi-min", "1e30", "--xi-max", "1e30",
                   "--points", "1"], {}, id="ellipticity-xi-1e30"),
     pytest.param(["ellipticity", "--xi-max", "1e300"], {}, id="ellipticity-xi-max-huge"),
+    pytest.param(["bvp1d", "--s", "3"], {}, id="bvp1d-s-3"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():
@@ -380,31 +402,27 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     assert capsys.readouterr().out == ""  # refused before any work ran
 
 
-def corners(cap_key: str, interior) -> tuple:
-    lo, hi = CAPS[cap_key]
-    return lo, interior, hi
-
-
-# Each capped flag at its lower cap, one interior value and its upper cap, the
-# other flags at their defaults; flags bounded only from below (--points,
-# --trials, --fd-nodes) at that bound and one value above it.
+# Each limited flag at its lower limit, one interior value and its upper limit,
+# as the library (and, for the kop grid's upper ends, the CLI's CAPS) defines
+# them, the other flags at their defaults; flags bounded only from below
+# (--points, --trials, --fd-nodes) at that bound and one value above it.
+# bvp1d --s also runs one past the finite-difference limit, to an error line.
 CAP_GRID = {
-    "ellipticity": {"--s": corners("s_ellipticity", 3), "--xi-min": corners("xi", 1.0),
-                    "--xi-max": corners("xi", 1.0), "--points": (1, 7)},
-    "greens": {"--s": (0, 1, 2), "--trials": (1, 3)},
-    "blowup": {"--s": (1, 2), "--eps-min": (2.0**-12, 2.0**-6, 2.0**-3),
-               "--eps-max": (2.0**-12, 2.0**-6, 2.0**-3), "--points": (2, 5),
-               "--delta": corners("delta", 0.25)},
-    "bvp1d": {"--s": corners("s_bvp", 2), "--fd-nodes": (6, 64)},
-    "kop": {"--radial-nodes": corners("radial_nodes", 600),
-            "--angular-nodes": corners("angular_nodes", 64),
-            "--mode-max": (0, 32, 64), "--boundary-refine-depth": (1, 8, 24)},
+    "ellipticity": {"--s": (1, 3, MAX_CERTIFY_S), "--xi-min": (XI_RANGE[0], 1.0, XI_RANGE[1]),
+                    "--xi-max": (XI_RANGE[0], 1.0, XI_RANGE[1]), "--points": (1, 7)},
+    "greens": {"--s": (0, 1, MAX_GREENS_S), "--trials": (1, 3)},
+    "blowup": {"--s": BLOWUP_S, "--eps-min": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]),
+               "--eps-max": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]), "--points": (2, 5),
+               "--delta": (BLOWUP_DELTA[0], 0.25, BLOWUP_DELTA[1])},
+    "bvp1d": {"--s": (1, MAX_FD_S, MAX_FD_S + 1), "--fd-nodes": (FD_CELLS_PER_S, 64)},
+    "kop": {"--radial-nodes": (MIN_RADIAL_NODES, 600, CAPS["radial_nodes"]),
+            "--angular-nodes": (MIN_ANGULAR_NODES, 64, CAPS["angular_nodes"]),
+            "--mode-max": (0, 32, 64), "--boundary-refine-depth": (1, 8, MAX_REFINE_DEPTH)},
 }
-# records that may report FAIL: the order-6 FD solve does not converge, the
-# coarsest radial grid misses the Bessel oracle, and a cutoff narrower than
-# the eps range breaks the bounded-norm family
-MAY_FAIL = {("bvp1d", "--s", "3"), ("kop", "--radial-nodes", "16"),
-            ("blowup", "--delta", str(2.0**-12))}
+# records that may report FAIL: the coarsest radial grid misses the Bessel
+# oracle, and a cutoff narrower than the eps range breaks the bounded-norm family
+MAY_FAIL = {("kop", "--radial-nodes", str(MIN_RADIAL_NODES)),
+            ("blowup", "--delta", str(BLOWUP_DELTA[0]))}
 
 
 def reject_constant(name: str):

@@ -98,6 +98,12 @@ def test_certify_validation():
         certify_trivial_kernel(7, [1.0])
     with pytest.raises(ValueError):
         certify_trivial_kernel(2, [0.0, 1.0])
+    with pytest.raises(ValueError, match="empty"):
+        certify_trivial_kernel(2, [])
+    # outside the certified range: at 1e13 the raw determinant overflows
+    for s, xi in ((6, 1e13), (2, 1e-7)):
+        with pytest.raises(ValueError, match="range"):
+            certify_trivial_kernel(s, [xi])
 
 
 def test_half_line_moment():

@@ -497,9 +497,12 @@ def test_blowup_validation():
         blowup_experiment(3)
     with pytest.raises(ValueError, match="2\\^-12"):
         blowup_experiment(1, [0.5])
-    for delta in (0.0, -0.5, float("nan"), float("inf")):
+    for delta in (0.0, -0.5, float("nan"), float("inf"), 1e300, 1e-300):
         with pytest.raises(ValueError, match="delta"):
             blowup_experiment(1, delta=delta)
     coarse = default_geometry(radial_nodes=64, angular_nodes=32, refine_depth=2)
     with pytest.raises(ValueError, match="resolve"):
         blowup_experiment(1, [2.0**-8], geom=coarse)
+    for eps_list in ([0.125] * 8, [2.0**-8], []):  # no slope to fit
+        with pytest.raises(ValueError, match="two distinct"):
+            blowup_experiment(1, eps_list)
