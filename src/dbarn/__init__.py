@@ -90,6 +90,7 @@ from .neumann import (
     domain_projection,
     greens_identity_check,
     hodge_decompose,
+    hodge_split,
     neumann_operator_norm_proxy_exact,
     neumann_solve,
     verify_gram_positive_definite_exact,

@@ -1,15 +1,20 @@
 """Command-line front end: one experiment per invocation, JSON/CSV artifacts.
 
 Subcommands: identities | ellipticity | bvp1d | kop | canonical | neumann |
-hodge | greens | blowup | verify-all.  A plain-text config file (key = value)
-can pre-set any flag of the chosen subcommand; explicit flags win.  Every run
-records its seed and every emitted check carries its tolerance next to the
-value.  The exit code is 0 exactly when all internal checks pass.
+hodge | greens | blowup | verify-all.  ``build_parser`` declares every flag
+once, with its default, and the handlers read the parsed namespace.  A
+plain-text config file (key = value) can pre-set any flag of the chosen
+subcommand: its values become that subcommand's defaults and the argv is
+parsed again, so explicit flags win.  Every run records its seed and every
+emitted check carries its tolerance next to the value; the handlers only
+format the certificates the library computes.  The exit code is 0 exactly
+when all internal checks pass.
 
 Each input limit is the library function's own: ``main`` turns a ValueError
 into one ``error:`` line with exit 1 and nothing on stdout (handlers print only
-at the end).  The CLI checks only its flags: ordered ranges, ``--trials``,
-``--criteria``, the form and config files and the kop memory caps (``CAPS``).
+at the end).  The CLI checks only its flags: a non-negative ``--seed`` and
+``--points``, ordered ranges, ``--trials``, ``--criteria``, the form and config
+files and the kop memory caps (``CAPS``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,30 +37,6 @@ SCHEMA_VERSION = 1
 
 # the kop grid's memory caps: at both a kop --input run peaks near 0.8 GB
 CAPS = {"radial_nodes": 4800, "angular_nodes": 1024}
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int = DEFAULT_SEED
-    s: int | None = None
-    d: int = 12
-    radial_nodes: int = 1200
-    angular_nodes: int = 128
-    boundary_refine_depth: int = 8
-    xi_min: float = 0.1
-    xi_max: float = 10.0
-    points: int | None = None
-    eps_min: float = 2.0**-10
-    eps_max: float = 2.0**-3
-    delta: float = 0.5
-    trials: int = 20
-    mode_max: int | None = None
-    fd_nodes: int = 128
-    input: str | None = None
-    out: str | None = None
-    csv_out: str | None = None
-    criteria: str | None = None
 
 
 def _check_cap(flag: str, value: int, cap_key: str) -> None:
@@ -90,114 +70,111 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _load_form(config: RunConfig) -> forms.FormPoly:
-    if not config.input:
+def _load_form(args: argparse.Namespace) -> forms.FormPoly:
+    if not args.input:
         raise ValueError("this subcommand needs --f/--input pointing at a "
                          "form file (see README for the format)")
-    text = _read_text(config.input, "form file")
+    text = _read_text(args.input, "form file")
     try:
         phi = forms.form_from_text(text)
     except (ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"{config.input} is not a valid form file: {exc}") from None
+        raise ValueError(f"{args.input} is not a valid form file: {exc}") from None
     if phi.n != 1 or phi.q != 1:
         raise ValueError("disc experiments expect a (0,1)-form in one complex variable")
     return phi
 
 
-def _record(config: RunConfig, payload: dict) -> str:
+def _record(args: argparse.Namespace, payload: dict) -> str:
     """The JSON record of a run, written to --out when one is given."""
-    text = json.dumps({"schema": SCHEMA_VERSION, "subcommand": config.subcommand,
-                       "seed": config.seed, **payload},
+    text = json.dumps({"schema": SCHEMA_VERSION, "subcommand": args.subcommand,
+                       "seed": args.seed, **payload},
                       sort_keys=True, indent=2, default=str)
-    if config.out:
-        Path(config.out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     return text
 
 
-def _emit(config: RunConfig, payload: dict, rows: list[dict] | None = None,
+def _emit(args: argparse.Namespace, payload: dict, rows: list[dict] | None = None,
           columns: tuple[str, ...] | None = None) -> int:
     """Print (and with --out write) the JSON record; with --csv write the rows.
 
     A table that can be empty passes its columns, so it writes only a header."""
-    print(_record(config, payload))
-    if rows is not None and config.csv_out:
-        with open(config.csv_out, "w", newline="") as handle:
+    print(_record(args, payload))
+    if rows is not None and args.csv_out:
+        with open(args.csv_out, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=columns or list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     ok = payload.get("pass", True)
-    print(f"{config.subcommand}: {'pass' if ok else 'FAIL'}")
+    print(f"{args.subcommand}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_identities(config: RunConfig) -> int:
-    results = [acceptance.run_criterion(k, config.seed) for k in (1, 2, 3, 4)]
-    return _emit(config, acceptance.results_payload(results))
+def _cmd_identities(args: argparse.Namespace) -> int:
+    results = [acceptance.run_criterion(k, args.seed) for k in (1, 2, 3, 4)]
+    return _emit(args, acceptance.results_payload(results))
 
 
-def _cmd_ellipticity(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 2
-    points = config.points if config.points is not None else 25
-    _check_log_range("--xi-min", config.xi_min, "--xi-max", config.xi_max)
-    grid = np.logspace(math.log10(config.xi_min), math.log10(config.xi_max), points)
-    report = ellipticity.certify_trivial_kernel(s, grid)
+def _cmd_ellipticity(args: argparse.Namespace) -> int:
+    _check_log_range("--xi-min", args.xi_min, "--xi-max", args.xi_max)
+    grid = np.logspace(math.log10(args.xi_min), math.log10(args.xi_max), args.points)
+    report = ellipticity.certify_trivial_kernel(args.s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
              "pass": smp.passed} for smp in report.samples]
     payload = {
-        "s": s,
+        "s": args.s,
         "threshold": report.threshold,
         "pass": report.passed,
         "samples": rows,
     }
-    return _emit(config, payload, rows)
+    return _emit(args, payload, rows)
 
 
-def _cmd_bvp1d(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    sol, err, errs = bvp.interval_experiment(s, np.random.default_rng(config.seed),
-                                             (config.fd_nodes, 2 * config.fd_nodes))
+def _cmd_bvp1d(args: argparse.Namespace) -> int:
+    sol, err, errs = bvp.interval_experiment(args.s, np.random.default_rng(args.seed),
+                                             (args.fd_nodes, 2 * args.fd_nodes))
     ratio = errs[0] / errs[1]
     tol, (lo, hi) = acceptance.INTERVAL_TOL, acceptance.FD_RATIO
     payload = {
-        "s": s,
+        "s": args.s,
         "manufactured_error": {"value": err, "tolerance": tol},
         "boundary_residual": {"value": sol.max_boundary_residual, "tolerance": tol},
         "collocation_condition": sol.condition,
         "fd_convergence_ratio": {"value": ratio, "window": acceptance.FD_RATIO},
         "pass": err <= tol and sol.max_boundary_residual <= tol and lo <= ratio <= hi,
     }
-    return _emit(config, payload)
+    return _emit(args, payload)
 
 
-def _cmd_kop(config: RunConfig) -> int:
-    _check_cap("--radial-nodes", config.radial_nodes, "radial_nodes")
-    _check_cap("--angular-nodes", config.angular_nodes, "angular_nodes")
-    geom = geometry.default_geometry(config.radial_nodes, config.angular_nodes,
-                                     config.boundary_refine_depth)
-    op = bvp.DiscKOperator(geom, mode_max=config.mode_max)
+def _cmd_kop(args: argparse.Namespace) -> int:
+    _check_cap("--radial-nodes", args.radial_nodes, "radial_nodes")
+    _check_cap("--angular-nodes", args.angular_nodes, "angular_nodes")
+    geom = geometry.default_geometry(args.radial_nodes, args.angular_nodes,
+                                     args.boundary_refine_depth)
+    op = bvp.DiscKOperator(geom, mode_max=args.mode_max)
     bessel_err, tol = op.bessel_oracle_error(), acceptance.BESSEL_TOL
     payload = {
         "mode_max": op.mode_max,
         "bessel_oracle_error": {"value": bessel_err, "tolerance": tol},
         "pass": bessel_err <= tol,
     }
-    if config.input:
-        psi = _load_form(config)
+    if args.input:
+        psi = _load_form(args)
         field = geometry.SampledField.from_polynomial(geom, psi.component((1,)))
         result = op.apply(field)
         data = op.boundary_data(field)
         hat = np.abs(np.fft.fft(data) / geom.n_theta)
         wavenumbers = geom.theta_wavenumbers().astype(int)
-        payload["input"] = config.input
+        payload["input"] = args.input
         payload["solution_w1_norm"] = geometry.ws_norm_sampled(result, 1)
         payload["modes"] = [{"mode": int(m), "data_amplitude": float(hat[i])}
                             for i, m in enumerate(wavenumbers) if hat[i] > 1e-14]
-        if config.csv_out:
-            result.to_csv(config.csv_out)  # columns r, theta, re, im
-    return _emit(config, payload)
+        if args.csv_out:
+            result.to_csv(args.csv_out)  # columns r, theta, re, im
+    return _emit(args, payload)
 
 
 FORM_COLUMNS = ("z_power", "zbar_power", "re", "im")
@@ -220,112 +197,96 @@ def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
 # exactly (see neumann's exact per-charge solves).
 
 
-def _cmd_canonical(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    phi = _load_form(config)
-    sol = neumann.canonical_solve_dbar(phi, s=s, d=config.d)
-    rows, tol = _form_rows(MonomialBasis(config.d), sol.coeffs), acceptance.CANONICAL_TOL
+def _cmd_canonical(args: argparse.Namespace) -> int:
+    sol = neumann.canonical_solve_dbar(_load_form(args), s=args.s, d=args.d)
+    rows, tol = _form_rows(MonomialBasis(args.d), sol.coeffs), acceptance.CANONICAL_TOL
     payload = {
-        "s": s, "d": config.d,
+        "s": args.s, "d": args.d,
         "residual": {"value": sol.residual, "tolerance": tol},
         "kernel_orthogonality": {"value": sol.kernel_orthogonality, "tolerance": tol},
         "pass": sol.residual <= tol and sol.kernel_orthogonality <= tol,
         "solution": rows,
     }
-    return _emit(config, payload, rows, columns=FORM_COLUMNS)
+    return _emit(args, payload, rows, columns=FORM_COLUMNS)
 
 
-def _cmd_neumann(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    phi = _load_form(config)
-    sol = neumann.neumann_solve(phi, s=s, d=config.d)
-    rows, tol = _form_rows(MonomialBasis(config.d - 1), sol.coeffs), acceptance.NEUMANN_TOL
+def _cmd_neumann(args: argparse.Namespace) -> int:
+    sol = neumann.neumann_solve(_load_form(args), s=args.s, d=args.d)
+    rows, tol = _form_rows(MonomialBasis(args.d - 1), sol.coeffs), acceptance.NEUMANN_TOL
     payload = {
-        "s": s, "d": config.d,
+        "s": args.s, "d": args.d,
         "residual": {"value": sol.residual, "tolerance": tol},
         "norm_ratio": sol.norm_ratio,
         "canonical_match": {"value": sol.canonical_match, "tolerance": tol},
         "pass": sol.residual <= tol and sol.canonical_match <= tol,
         "solution": rows,
     }
-    return _emit(config, payload, rows, columns=FORM_COLUMNS)
+    return _emit(args, payload, rows, columns=FORM_COLUMNS)
 
 
-def _cmd_hodge(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    phi = _load_form(config)
-    f1, f2 = neumann.hodge_decompose(phi, s=s, d=config.d)
-    (g11, g12), (_, g22) = neumann.coefficient_gram_exact([f1, f2], config.d, s)
-    n1, n2 = math.sqrt(math.pi * g11.re), math.sqrt(math.pi * g22.re)
-    # |<f1, f2>_s| / (|f1|_s |f1 + f2|_s): the printed range part's component
-    # along the remainder, relative to the input.  Dividing by |f2|_s instead
-    # would measure the float64 rounding of f1 against a remainder that can be
-    # 1e-8 of f at the top degree, and fail correctly rounded splits.
-    total = g11.re + 2 * g12.re + g22.re
-    ortho = math.sqrt((g12.re**2 + g12.im**2) / (g11.re * total)) if g11.re else 0.0
-    basis = MonomialBasis(config.d)
-    parts = {"range": _form_rows(basis, f1), "orthogonal": _form_rows(basis, f2)}
+def _cmd_hodge(args: argparse.Namespace) -> int:
+    split = neumann.hodge_split(_load_form(args), s=args.s, d=args.d)
+    basis, tol = MonomialBasis(args.d), acceptance.HODGE_TOL
+    parts = {"range": _form_rows(basis, split.range_part),
+             "orthogonal": _form_rows(basis, split.orthogonal_part)}
     payload = {
-        "s": s, "d": config.d,
-        "range_part_norm": n1,
-        "orthogonal_part_norm": n2,
-        "orthogonality_defect": {"value": ortho, "tolerance": acceptance.HODGE_TOL},
-        "pass": ortho <= acceptance.HODGE_TOL,
+        "s": args.s, "d": args.d,
+        "range_part_norm": split.range_norm,
+        "orthogonal_part_norm": split.orthogonal_norm,
+        "orthogonality_defect": {"value": split.orthogonality_defect, "tolerance": tol},
+        "pass": split.orthogonality_defect <= tol,
         "range_part": parts["range"],
         "orthogonal_part": parts["orthogonal"],
     }
     rows = [{"part": part, **row} for part, part_rows in parts.items() for row in part_rows]
-    return _emit(config, payload, rows, columns=("part",) + FORM_COLUMNS)
+    return _emit(args, payload, rows, columns=("part",) + FORM_COLUMNS)
 
 
-def _cmd_greens(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    if config.trials < 1:
-        raise ValueError(f"--trials={config.trials} must be at least 1")
-    rng = np.random.default_rng(config.seed)
+def _cmd_greens(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials={args.trials} must be at least 1")
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    for trial in range(config.trials):
+    for trial in range(args.trials):
         phi = forms.random_cpolynomial(rng, 1, 4)
         psi = forms.random_cpolynomial(rng, 1, 4)
-        res = neumann.greens_identity_check(phi, psi, s)
+        res = neumann.greens_identity_check(phi, psi, args.s)
         worst = max(worst, res.residual)
         rows.append({"trial": trial, "lhs_re": res.lhs.real,
                      "boundary_re": res.boundary.real, "residual": res.residual})
     payload = {
-        "s": s, "trials": config.trials,
+        "s": args.s, "trials": args.trials,
         "max_residual": {"value": worst, "tolerance": acceptance.GREENS_TOL},
         "pass": worst <= acceptance.GREENS_TOL,
     }
-    return _emit(config, payload, rows)
+    return _emit(args, payload, rows)
 
 
-def _cmd_blowup(config: RunConfig) -> int:
-    s = config.s if config.s is not None else 1
-    _check_log_range("--eps-min", config.eps_min, "--eps-max", config.eps_max)
-    count = config.points if config.points is not None else 8
-    eps_list = list(np.geomspace(config.eps_max, config.eps_min, count))
-    rep = neumann.blowup_experiment(s, eps_list, delta=config.delta)
+def _cmd_blowup(args: argparse.Namespace) -> int:
+    _check_log_range("--eps-min", args.eps_min, "--eps-max", args.eps_max)
+    eps_list = list(np.geomspace(args.eps_max, args.eps_min, args.points))
+    rep = neumann.blowup_experiment(args.s, eps_list, delta=args.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}
             for row in rep.rows]
     (lo, hi), tol = acceptance.BLOWUP_SLOPE, acceptance.BLOWUP_NORM_RATIO
     payload = {
-        "s": s, "delta": config.delta, "test_form": rep.test_form,
+        "s": args.s, "delta": args.delta, "test_form": rep.test_form,
         "slope": {"value": rep.slope, "window": acceptance.BLOWUP_SLOPE},
         "norm_ratio": {"value": rep.norm_ratio, "tolerance": tol},
         "pairing_monotone": rep.pairing_monotone,
         "rows": rows,
         "pass": lo <= rep.slope <= hi and rep.norm_ratio <= tol,
     }
-    return _emit(config, payload, rows)
+    return _emit(args, payload, rows)
 
 
-def _cmd_verify_all(config: RunConfig) -> int:
-    if config.criteria:
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    if args.criteria:
         try:
-            numbers = sorted({int(tok) for tok in config.criteria.split(",")})
+            numbers = sorted({int(tok) for tok in args.criteria.split(",")})
         except ValueError:
-            raise ValueError(f"--criteria {config.criteria!r} is not a "
+            raise ValueError(f"--criteria {args.criteria!r} is not a "
                              "comma-separated list of numbers") from None
         bad = [k for k in numbers if not 1 <= k <= len(acceptance.CRITERIA)]
         if bad:
@@ -334,11 +295,11 @@ def _cmd_verify_all(config: RunConfig) -> int:
         numbers = list(range(1, len(acceptance.CRITERIA) + 1))
     results = []
     for k in numbers:
-        res = acceptance.run_criterion(k, config.seed)
+        res = acceptance.run_criterion(k, args.seed)
         print(res.summary())
         results.append(res)
     payload = acceptance.results_payload(results)
-    _record(config, payload)
+    _record(args, payload)
     ok = payload["pass"]
     print(f"verify-all: {'pass' if ok else 'FAIL'} "
           f"({sum(r.passed for r in results)}/{len(results)} criteria)")
@@ -386,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, help="random seed (recorded in output)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="random seed, non-negative (recorded in output)")
         p.add_argument("--out", help="write the JSON record here")
         p.add_argument("--csv", dest="csv_out",
                        help="write the tabular rows as CSV (columns as in JSON rows)")
@@ -396,23 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipticity", help="boundary-symbol nonsingularity sweep")
     add_common(p)
-    p.add_argument("--s", type=int)
-    p.add_argument("--xi-min", type=float, dest="xi_min")
-    p.add_argument("--xi-max", type=float, dest="xi_max")
-    p.add_argument("--points", type=int)
+    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--xi-min", type=float, dest="xi_min", default=0.1)
+    p.add_argument("--xi-max", type=float, dest="xi_max", default=10.0)
+    p.add_argument("--points", type=int, default=25)
 
     p = sub.add_parser("bvp1d", help="interval problem: manufactured + FD check")
     add_common(p)
-    p.add_argument("--s", type=int)
-    p.add_argument("--fd-nodes", type=int, dest="fd_nodes")
+    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--fd-nodes", type=int, dest="fd_nodes", default=128)
 
     p = sub.add_parser("kop", help="adjoint-correction operator on the disc (s=1)")
     add_common(p)
-    p.add_argument("--radial-nodes", type=int, dest="radial_nodes",
-                   help="radial grid resolution (default 1200)")
-    p.add_argument("--angular-nodes", type=int, dest="angular_nodes")
-    p.add_argument("--boundary-refine-depth", type=int, dest="boundary_refine_depth")
-    p.add_argument("--mode-max", type=int, dest="mode_max")
+    p.add_argument("--radial-nodes", type=int, dest="radial_nodes", default=1200,
+                   help="radial grid resolution (default %(default)s)")
+    p.add_argument("--angular-nodes", type=int, dest="angular_nodes", default=128)
+    p.add_argument("--boundary-refine-depth", type=int, dest="boundary_refine_depth",
+                   default=8)
+    p.add_argument("--mode-max", type=int, dest="mode_max")  # default: the operator's
     p.add_argument("--input", "--f", dest="input", help="form file to apply K to")
 
     for name, blurb in (("canonical", "least-norm solution of dbar u = f"),
@@ -420,22 +383,22 @@ def build_parser() -> argparse.ArgumentParser:
                         ("hodge", "range / orthogonal splitting of a form")):
         p = sub.add_parser(name, help=blurb)
         add_common(p)
-        p.add_argument("--s", type=int)
-        p.add_argument("--d", type=int)
+        p.add_argument("--s", type=int, default=1)
+        p.add_argument("--d", type=int, default=12)
         p.add_argument("--f", "--input", dest="input", help="form file")
 
     p = sub.add_parser("greens", help="exact integration-by-parts residuals")
     add_common(p)
-    p.add_argument("--s", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("blowup", help="boundary pairing blow-up experiment")
     add_common(p)
-    p.add_argument("--s", type=int)
-    p.add_argument("--eps-min", type=float, dest="eps_min")
-    p.add_argument("--eps-max", type=float, dest="eps_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--eps-min", type=float, dest="eps_min", default=2.0**-10)
+    p.add_argument("--eps-max", type=float, dest="eps_max", default=2.0**-3)
+    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--delta", type=float, default=0.5)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     add_common(p)
@@ -444,34 +407,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_flags(parser: argparse.ArgumentParser, name: str) -> dict:
-    """The optional arguments of one subcommand, by destination."""
+def _set_config_defaults(parser: argparse.ArgumentParser, name: str, path: str) -> None:
+    """Make the config file's values defaults of subcommand ``name``, each converted
+    by its flag's type, so a flag given on the command line still wins."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[name]._actions
-            if a.option_strings and a.dest != "help"}
+    subparser = sub.choices[name]
+    flags = {a.dest: a for a in subparser._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, raw in _read_config_file(path).items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r} for {name}")
+        convert = flags[key].type or str
+        try:
+            defaults[key] = convert(raw)
+        except ValueError:
+            raise ValueError(f"{path}: {key} = {raw!r} is not "
+                             f"a valid {convert.__name__}") from None
+    subparser.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    values = {k: v for k, v in vars(args).items() if v is not None}
-    config_path = values.pop("config", None)
     try:
-        if config_path:
-            flags = _subcommand_flags(parser, args.subcommand)
-            for key, raw in _read_config_file(config_path).items():
-                if key not in flags:
-                    raise ValueError(f"unknown config key {key!r} for {args.subcommand}")
-                if key in values:
-                    continue  # explicit flag wins
-                convert = flags[key].type or str
-                try:
-                    values[key] = convert(raw)
-                except ValueError:
-                    raise ValueError(f"{config_path}: {key} = {raw!r} is not "
-                                     f"a valid {convert.__name__}") from None
-        config = RunConfig(**values)
-        code = HANDLERS[config.subcommand](config)
+        if args.config:
+            _set_config_defaults(parser, args.subcommand, args.config)
+            args = parser.parse_args(argv)
+        for flag in ("seed", "points"):  # numpy refuses negatives without naming the flag
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag}={getattr(args, flag)} must be non-negative")
+        code = HANDLERS[args.subcommand](args)
         sys.stdout.flush()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None

@@ -20,7 +20,8 @@ Contents:
     solution costs one form-Gram solve per charge (dbar* N f is the
     canonical solution, Kohn's formula); applying dbar* to it checks it,
   * the Hodge-type splitting of a form into its dbar-range part and the
-    orthogonal remainder,
+    orthogonal remainder; a form's split (``hodge_split``) carries its exact
+    certificate, the norms of both parts and their W^s inner product,
   * every solve is exact, one charge block at a time: a form on the charges
     it touches, with exact certificates on the rounded coefficients; a float
     vector through per-charge operators solved once per (d, s) and rounded
@@ -137,11 +138,16 @@ class DiscreteComplex:
 def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram, gram_cod: SobolevGram):
     """The W^s adjoint A* of the disc dbar A, <A v, w>_s = <v, A* w>_s, as a CSR matrix of
     correctly rounded entries (``_operators``).  Any operator or Gram pair other than a
-    ``DiscreteComplex``'s ``dbar_matrix``, ``gram`` and ``form_gram`` is a ValueError."""
+    ``DiscreteComplex``'s ``dbar_matrix``, ``gram`` and ``form_gram`` is a ValueError:
+    the operator is checked against ``_dbar_pattern``, the Grams against the cached ones."""
     cx = DiscreteComplex.build(gram_dom.basis.degree, gram_dom.s)
-    pairs = ((op_matrix, cx.dbar_matrix), (gram_dom.matrix, cx.gram.matrix),
-             (gram_cod.matrix, cx.form_gram.matrix))
-    if not all(a is b or np.array_equal(a, b) for a, b in pairs):
+    cols, b = _dbar_pattern(cx.basis.degree)
+    op = np.asarray(op_matrix)
+    is_dbar = (op.shape == (cx.form_basis.dim, cx.basis.dim)
+               and np.count_nonzero(op) == len(cols)
+               and np.array_equal(op[np.arange(len(cols)), cols], b))
+    grams = ((gram_dom.matrix, cx.gram.matrix), (gram_cod.matrix, cx.form_gram.matrix))
+    if not (is_dbar and all(a is g or np.array_equal(a, g) for a, g in grams)):
         raise ValueError("adjoint takes the dbar matrix and the Gram pair of a DiscreteComplex")
     return _operators(cx)[2].copy()
 
@@ -254,10 +260,12 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
     component may reach degree d).  In one variable at top degree the
     remainder is purely a truncation artifact: it vanishes whenever f lies
     in the degree-(d-1) range of the discrete dbar.  A form is split exactly
-    (``_hodge_exact``), a float vector by the rounded projection (``_operators``).
+    (the parts of ``hodge_split``), a float vector by the rounded projection
+    (``_operators``).
     """
     if not isinstance(f, np.ndarray):
-        return _hodge_exact(f, *_exact_size(s, d, cx))
+        split = hodge_split(f, s, d, cx)
+        return split.range_part, split.orthogonal_part
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     f1 = np.zeros_like(f, dtype=np.result_type(f, float))
@@ -680,47 +688,54 @@ def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
         canonical_match=math.sqrt(math.pi * m2))
 
 
-def _hodge_exact(f, d: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """``hodge_decompose`` for a form: per charge, G_form c = (G f)_form by one
-    fraction-free solve; the range part is c rounded, the remainder f minus it."""
+@dataclass
+class HodgeSplit:
+    range_part: np.ndarray       # f1, in the range of dbar on the degree-d functions
+    orthogonal_part: np.ndarray  # f2 = f - f1, W^s-orthogonal to that range
+    range_norm: float            # |f1|_s
+    orthogonal_norm: float       # |f2|_s
+    orthogonality_defect: float  # |<f1, f2>_s| / (|f1|_s |f1 + f2|_s)
+
+
+def hodge_split(f, s: int | None = None, d: int | None = None,
+                cx: DiscreteComplex | None = None) -> HodgeSplit:
+    """The Hodge split of a form, exact, with its certificate: per charge,
+    G_form c = (G f)_form by one fraction-free solve; the range part f1 is c
+    rounded, the remainder f2 is f minus it, rounded.  The norms and
+    <f1, f2>_s are exact on f1 and f2, on the block the solve reads (1 x 1 at
+    charge +-d, where f1 is zero).  The defect divides by |f1 + f2|_s, not
+    |f2|_s: the remainder can be 1e-8 of f at the top degree, and against it
+    the float64 rounding of f1 would fail correctly rounded splits.
+    """
+    d, s = _exact_size(s, d, cx)
     terms, f_den = _charges_of(f, d)
     basis = MonomialBasis(d)
     f1 = np.zeros(basis.dim, dtype=complex)
     f2 = np.zeros(basis.dim, dtype=complex)
+    g11 = g22 = Fraction(0)
+    g12 = QC_ZERO  # <f1, f2>_s / pi
     for charge in sorted(terms):
         exps = charge_exponents(charge, d)
         fs = _coefficients(terms[charge], f_den, exps)
         nf = len(charge_exponents(charge, d - 1))
+        block, den = gram_block_rows(exps, s)
         c = [0j] * len(exps)
         if nf:
-            block, den = gram_block_rows(exps, s)
             form, form_den = _leading(block, den, nf)
             c[:nf] = _solve(form, fs.times(block[:nf], den), form_den).rounded()
+        p1 = _Scaled.of_complex(c)
+        r = fs.minus(p1).rounded()
+        p2 = _Scaled.of_complex(r)
         _place(f1, basis, exps, c)
-        _place(f2, basis, exps, fs.minus(_Scaled.of_complex(c)).rounded())
-    return f1, f2
-
-
-def coefficient_gram_exact(vectors: list[np.ndarray], degree: int,
-                           s: int) -> list[list[CRational]]:
-    """Exact <v_i, v_j>_s / pi between coefficient vectors over the degree-``degree`` basis.
-
-    Each float64 is an exact dyadic rational.  Charges are W^s-orthogonal, so
-    only the blocks of charges where some vector is nonzero are built.
-    """
-    basis = MonomialBasis(degree)
-    charges = sorted({a - b for v in vectors for (a, b), c in zip(basis.exponents, v) if c})
-    out = [[QC_ZERO] * len(vectors) for _ in vectors]
-    for charge in charges:
-        exps = charge_exponents(charge, degree)
-        rows, den = gram_block_rows(exps, s)
-        idx = [basis.index_of(a, b) for a, b in exps]
-        parts = [_Scaled.of_complex(v[idx]) for v in vectors]
-        for i, p in enumerate(parts):
-            gp = p.times(rows, den)
-            for j, q in enumerate(parts):  # <p, q>_s / pi = q^H G p
-                out[i][j] = out[i][j] + gp.conj_dot(q)
-    return out
+        _place(f2, basis, exps, r)
+        g1 = p1.times(block, den)
+        g11 += g1.conj_dot(p1).re
+        g12 = g12 + g1.conj_dot(p2)
+        g22 += p2.norm2(block, den)
+    total = g11 + 2 * g12.re + g22  # |f1 + f2|_s^2 / pi
+    defect = math.sqrt((g12.re**2 + g12.im**2) / (g11 * total)) if g11 else 0.0
+    return HodgeSplit(range_part=f1, orthogonal_part=f2, range_norm=math.sqrt(math.pi * g11),
+                      orthogonal_norm=math.sqrt(math.pi * g22), orthogonality_defect=defect)
 
 
 # -- exact Green identity -------------------------------------------------------
@@ -856,14 +871,9 @@ def _cap_radial_factor(s: int, eps: float, delta: float, r: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, dR/dr, d2R/dr2) of (1-r)^(s-1) (1-r+eps)^(3/4) bump((1-r)/delta)."""
     u = 1.0 - r
-    if s == 1:
-        p, p1, p2 = np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
-    elif s == 2:
-        p, p1, p2 = u, np.ones_like(u), np.zeros_like(u)
-    else:
-        p = u ** (s - 1)
-        p1 = (s - 1) * u ** (s - 2)
-        p2 = (s - 1) * (s - 2) * u ** (s - 3)
+    # s is 1 or 2 (``BLOWUP_S``): (1-r)^(s-1) is 1 or u
+    p, p1 = (np.ones_like(u), np.zeros_like(u)) if s == 1 else (u, np.ones_like(u))
+    p2 = np.zeros_like(u)
     q = (u + eps) ** 0.75
     q1 = 0.75 * (u + eps) ** (-0.25)
     q2 = 0.75 * -0.25 * (u + eps) ** (-1.25)

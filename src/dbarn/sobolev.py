@@ -317,8 +317,9 @@ def leading_subgram(gram: SobolevGram, degree: int) -> SobolevGram:
     """Gram of the degree-``degree`` prefix, sliced from a larger Gram.
 
     The basis ordering is degree graded, so the leading principal block of
-    the degree-d Gram is exactly the Gram of any lower degree; slicing avoids
-    a second assembly and seeds the cache.
+    the degree-d Gram is exactly the Gram of any lower degree; the slice is a
+    view of the larger Gram's memory, so it costs no second assembly or copy,
+    and it seeds the cache.
     """
     if not 0 <= degree <= gram.basis.degree:
         raise ValueError(f"degree must lie in 0..{gram.basis.degree}")
@@ -327,5 +328,5 @@ def leading_subgram(gram: SobolevGram, degree: int) -> SobolevGram:
         sub_basis = MonomialBasis(degree)
         _GRAM_CACHE[key] = SobolevGram(
             s=gram.s, basis=sub_basis,
-            matrix=gram.matrix[: sub_basis.dim, : sub_basis.dim].copy())
+            matrix=gram.matrix[: sub_basis.dim, : sub_basis.dim])
     return _GRAM_CACHE[key]

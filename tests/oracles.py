@@ -26,6 +26,7 @@ mode at a time.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -334,6 +335,31 @@ def exact_hodge_split(fvec: np.ndarray, d: int, s: int) -> tuple[np.ndarray, np.
             f2[i] = complex(float(fi[0] - ci[0]), float(fi[1] - ci[1]))
     return f1, f2
 
+
+
+def exact_hodge_certificate(f1: np.ndarray, f2: np.ndarray, d: int,
+                            s: int) -> tuple[float, float, float]:
+    """|f1|_s, |f2|_s and |<f1, f2>_s| / (|f1|_s |f1 + f2|_s) for coefficient
+    vectors over the degree-d basis, summed entry by entry over the Fraction
+    ``gram_block`` of every charge, each float an exact dyadic Fraction."""
+    basis = MonomialBasis(d)
+    g11 = g22 = g12_re = g12_im = Fraction(0)
+    for charge in range(-d, d + 1):
+        exps = charge_exponents(charge, d)
+        g = gram_block(exps, s)
+        idx = [basis.index_of(*e) for e in exps]
+        u = [(Fraction(f1[i].real), Fraction(f1[i].imag)) for i in idx]
+        v = [(Fraction(f2[i].real), Fraction(f2[i].imag)) for i in idx]
+        for i in range(len(exps)):
+            for j in range(len(exps)):
+                # <u, v> = sum conj(v_i) G_ij u_j; G is real
+                g11 += g[i][j] * (u[i][0] * u[j][0] + u[i][1] * u[j][1])
+                g22 += g[i][j] * (v[i][0] * v[j][0] + v[i][1] * v[j][1])
+                g12_re += g[i][j] * (v[i][0] * u[j][0] + v[i][1] * u[j][1])
+                g12_im += g[i][j] * (v[i][0] * u[j][1] - v[i][1] * u[j][0])
+    total = g11 + 2 * g12_re + g22
+    defect = math.sqrt((g12_re**2 + g12_im**2) / (g11 * total)) if g11 else 0.0
+    return math.sqrt(math.pi * g11), math.sqrt(math.pi * g22), defect
 
 # -- sampled fields on the disc ------------------------------------------------------
 

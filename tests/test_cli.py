@@ -17,7 +17,7 @@ from dbarn.bvp import (
     bessel_i_series,
     bessel_i_series_derivative,
 )
-from dbarn.cli import CAPS, main
+from dbarn.cli import CAPS, _set_config_defaults, build_parser, main
 from dbarn.ellipticity import MAX_CERTIFY_S, XI_RANGE
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
 from dbarn.geometry import (
@@ -266,6 +266,23 @@ def test_config_file_flags_win(tmp_path):
     assert payload["samples"][0]["xi"] == 0.5    # config fills the rest
 
 
+def test_config_sets_only_the_chosen_subcommands_defaults(tmp_path):
+    # blowup's --points defaults to 8 and ellipticity's to 25: the config
+    # replaces blowup's default, a flag replaces the config, and ellipticity
+    # keeps its own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 4\n")
+    out = tmp_path / "out.json"
+    for argv, rows in ((["blowup"], 8), (["--config", str(cfg), "blowup"], 4),
+                       (["--config", str(cfg), "blowup", "--points", "3"], 3)):
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["rows"]) == rows
+    parser = build_parser()
+    _set_config_defaults(parser, "blowup", str(cfg))
+    assert parser.parse_args(["blowup"]).points == 4
+    assert parser.parse_args(["ellipticity"]).points == 25
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_factor = 9\n")
@@ -391,6 +408,13 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
                   "--points", "1"], {}, id="ellipticity-xi-1e30"),
     pytest.param(["ellipticity", "--xi-max", "1e300"], {}, id="ellipticity-xi-max-huge"),
     pytest.param(["bvp1d", "--s", "3"], {}, id="bvp1d-s-3"),
+    pytest.param(["ellipticity", "--points", "-1"], {}, id="ellipticity-points-negative"),
+    pytest.param(["blowup", "--points", "-3"], {}, id="blowup-points-negative"),
+    pytest.param(["greens", "--seed", "-1"], {}, id="greens-seed-negative"),
+    pytest.param(["bvp1d", "--seed", "-1"], {}, id="bvp1d-seed-negative"),
+    pytest.param(["verify-all", "--criteria", "1", "--seed", "-5000"], {},
+                 id="verify-all-seed-negative"),
+    pytest.param(["identities", "--seed", "-1"], {}, id="identities-seed-negative"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     for name, text in files.items():
@@ -400,6 +424,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
     message = str(err.value)
     assert message.startswith("error:") and "\n" not in message
     assert capsys.readouterr().out == ""  # refused before any work ran
+    for flag in ("--seed", "--points"):  # a negative one is named in the line
+        if flag in argv and int(argv[argv.index(flag) + 1]) < 0:
+            assert flag in message
 
 
 # Each limited flag at its lower limit, one interior value and its upper limit,

@@ -18,12 +18,19 @@ from dbarn.neumann import (
     domain_projection,
     greens_identity_check,
     hodge_decompose,
+    hodge_split,
     neumann_operator_norm_proxy_exact,
     neumann_solve,
     verify_gram_positive_definite_exact,
 )
 from dbarn.sobolev import MonomialBasis, SobolevGram, charge_exponents, gram_block
-from oracles import exact_adjoint, exact_galerkin_solutions, exact_hodge_split, fraction_solve
+from oracles import (
+    exact_adjoint,
+    exact_galerkin_solutions,
+    exact_hodge_certificate,
+    exact_hodge_split,
+    fraction_solve,
+)
 
 DZBAR = FormPoly(1, 1, {(1,): CPolynomial.const(1, 1)})
 
@@ -73,11 +80,14 @@ def test_adjoint_rejects_a_foreign_operator_or_gram():
     cx = DiscreteComplex.build(6, 1)
     eye = SobolevGram(s=1, basis=cx.basis, matrix=np.eye(cx.basis.dim))
     other = DiscreteComplex.build(6, 2)
+    off_pattern = cx.dbar_matrix.copy()  # every dbar entry, and one more off the pattern
+    off_pattern[0, 0] = 1.0
     for args in [(2 * cx.dbar_matrix, cx.gram, cx.form_gram),
                  (cx.dbar_matrix[:, :-1], cx.gram, cx.form_gram),
                  (cx.dbar_matrix, eye, cx.form_gram),
                  (cx.dbar_matrix, cx.gram, other.form_gram),
-                 (cx.dbar_matrix, cx.gram, cx.gram)]:
+                 (cx.dbar_matrix, cx.gram, cx.gram),
+                 (off_pattern, cx.gram, cx.form_gram)]:
         with pytest.raises(ValueError, match="DiscreteComplex"):
             adjoint(*args)
     # a Gram pair equal to the complex's, though not the cached objects, is accepted
@@ -378,6 +388,32 @@ def test_hodge_orthogonality_and_top_degree_artifact(cx1, rng):
         # f2 is W^s-orthogonal to the whole range subspace, not just to f1
         pair = cx1.gram.matrix @ f2
         assert np.max(np.abs(pair[: cx1.form_basis.dim])) < 1e-8 * max(n2, 1.0)
+
+
+@pytest.mark.parametrize("s", [0, 2])
+@pytest.mark.parametrize("d", [12, 40])
+def test_hodge_split_certificate_matches_the_fraction_oracle(d, s):
+    # dyadic coefficients, so the oracle splits the same vector; z^d and zbar^d
+    # are the 1 x 1 blocks of charge +-d, where the range part is zero
+    terms = {((d,), (0,)): CRational(Fraction(3, 4), Fraction(-1, 2)),
+             ((0,), (d,)): CRational(Fraction(-5, 8), Fraction(1)),
+             ((d - 3,), (3,)): CRational(Fraction(1, 2), Fraction(7, 4)),
+             ((2,), (d - 2,)): CRational(Fraction(-3), Fraction(1, 8)),
+             ((4,), (1,)): CRational(Fraction(9, 16), Fraction(0)),
+             ((1,), (1,)): CRational(Fraction(0), Fraction(-1, 4))}
+    phi = FormPoly(1, 1, {(1,): CPolynomial(1, terms)})
+    split = hodge_split(phi, s=s, d=d)
+    fvec = MonomialBasis(d).coefficients_of(phi.component((1,)))
+    for part, exact in zip((split.range_part, split.orthogonal_part),
+                           exact_hodge_split(fvec, d, s)):
+        assert np.array_equal(part, exact)
+    assert split.orthogonal_part[MonomialBasis(d).index_of(d, 0)] == complex(0.75, -0.5)
+    assert (split.range_norm, split.orthogonal_norm, split.orthogonality_defect) == \
+        exact_hodge_certificate(split.range_part, split.orthogonal_part, d, s)
+    assert split.orthogonality_defect <= 1e-12
+    for part, expect in zip(hodge_decompose(phi, s=s, d=d),
+                            (split.range_part, split.orthogonal_part)):
+        assert np.array_equal(part, expect)
 
 
 def test_hodge_of_an_integer_vector_is_not_truncated(cx1):
