@@ -336,6 +336,13 @@ and hodge solve exactly on Python integers, in one thread.
 """
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends "(default: ...)" to the help of each flag that has a default."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbarn",
@@ -346,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          "(explicit flags win)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_parser(name: str, blurb: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=blurb, formatter_class=_DefaultsHelpFormatter)
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="random seed, non-negative (recorded in output)")
@@ -353,54 +363,61 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", dest="csv_out",
                        help="write the tabular rows as CSV (columns as in JSON rows)")
 
-    p = sub.add_parser("identities", help="exact combinatorial and form identities")
+    p = add_parser("identities", "exact combinatorial and form identities")
     add_common(p)
 
-    p = sub.add_parser("ellipticity", help="boundary-symbol nonsingularity sweep")
+    p = add_parser("ellipticity", "boundary-symbol nonsingularity sweep")
     add_common(p)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--xi-min", type=float, dest="xi_min", default=0.1)
-    p.add_argument("--xi-max", type=float, dest="xi_max", default=10.0)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--s", type=int, default=2, help="Sobolev order")
+    p.add_argument("--xi-min", type=float, dest="xi_min", default=0.1,
+                   help="smallest tangential frequency |xi|")
+    p.add_argument("--xi-max", type=float, dest="xi_max", default=10.0,
+                   help="largest tangential frequency |xi|")
+    p.add_argument("--points", type=int, default=25, help="log-spaced |xi| samples")
 
-    p = sub.add_parser("bvp1d", help="interval problem: manufactured + FD check")
+    p = add_parser("bvp1d", "interval problem: manufactured + FD check")
     add_common(p)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--fd-nodes", type=int, dest="fd_nodes", default=128)
+    p.add_argument("--s", type=int, default=1, help="Sobolev order")
+    p.add_argument("--fd-nodes", type=int, dest="fd_nodes", default=128,
+                   help="finite-difference nodes of the coarse grid (the fine one has twice)")
 
-    p = sub.add_parser("kop", help="adjoint-correction operator on the disc (s=1)")
+    p = add_parser("kop", "adjoint-correction operator on the disc (s=1)")
     add_common(p)
     p.add_argument("--radial-nodes", type=int, dest="radial_nodes", default=1200,
-                   help="radial grid resolution (default %(default)s)")
-    p.add_argument("--angular-nodes", type=int, dest="angular_nodes", default=128)
+                   help="radial grid resolution")
+    p.add_argument("--angular-nodes", type=int, dest="angular_nodes", default=128,
+                   help="angular grid resolution")
     p.add_argument("--boundary-refine-depth", type=int, dest="boundary_refine_depth",
-                   default=8)
-    p.add_argument("--mode-max", type=int, dest="mode_max")  # default: the operator's
+                   default=8, help="radial refinement levels toward the boundary")
+    p.add_argument("--mode-max", type=int, dest="mode_max",
+                   help="highest Fourier mode solved (default: half the angular nodes)")
     p.add_argument("--input", "--f", dest="input", help="form file to apply K to")
 
     for name, blurb in (("canonical", "least-norm solution of dbar u = f"),
                         ("neumann", "solve the weighted form Laplacian"),
                         ("hodge", "range / orthogonal splitting of a form")):
-        p = sub.add_parser(name, help=blurb)
+        p = add_parser(name, blurb)
         add_common(p)
-        p.add_argument("--s", type=int, default=1)
-        p.add_argument("--d", type=int, default=12)
+        p.add_argument("--s", type=int, default=1, help="Sobolev order")
+        p.add_argument("--d", type=int, default=12, help="basis degree")
         p.add_argument("--f", "--input", dest="input", help="form file")
 
-    p = sub.add_parser("greens", help="exact integration-by-parts residuals")
+    p = add_parser("greens", "exact integration-by-parts residuals")
     add_common(p)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--s", type=int, default=1, help="Sobolev order")
+    p.add_argument("--trials", type=int, default=20, help="random polynomial pairs")
 
-    p = sub.add_parser("blowup", help="boundary pairing blow-up experiment")
+    p = add_parser("blowup", "boundary pairing blow-up experiment")
     add_common(p)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--eps-min", type=float, dest="eps_min", default=2.0**-10)
-    p.add_argument("--eps-max", type=float, dest="eps_max", default=2.0**-3)
-    p.add_argument("--points", type=int, default=8)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--s", type=int, default=1, help="Sobolev order")
+    p.add_argument("--eps-min", type=float, dest="eps_min", default=2.0**-10,
+                   help="smallest eps of the cap family")
+    p.add_argument("--eps-max", type=float, dest="eps_max", default=2.0**-3,
+                   help="largest eps of the cap family")
+    p.add_argument("--points", type=int, default=8, help="geometrically spaced eps values")
+    p.add_argument("--delta", type=float, default=0.5, help="cutoff width of the cap")
 
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
+    p = add_parser("verify-all", "run the full acceptance suite")
     add_common(p)
     p.add_argument("--criteria", help="comma-separated criterion numbers")
 

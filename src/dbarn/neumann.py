@@ -27,7 +27,8 @@ Contents:
     vector through per-charge operators solved once per (d, s) and rounded
     once (``_operators``), its float certificates losing digits from d ~ 20,
   * exact operator-norm and positive-definiteness certificates on the same
-    charge blocks,
+    charge blocks, the second read off the pivots of the first's eliminations,
+    all of them kept in one store per (d, s), the cached degree-d Gram,
   * the integration-by-parts (Green) identity connecting <dbar phi, psi>_s,
     <phi, theta psi>_s and the weighted boundary pairing, with every piece
     exact,
@@ -39,7 +40,6 @@ Contents:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,8 +61,8 @@ from .sobolev import (
     MonomialBasis,
     SobolevGram,
     assemble_gram,
+    cached_gram,
     charge_exponents,
-    gram_block_rows,
     inner_s_exact,
     leading_subgram,
     real_matvec,
@@ -228,8 +228,8 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
     The discrete harmonic space is trivial (dbar is onto the form space), and
     dbar* u is the canonical solution v of dbar v = f (Kohn's formula).  With
     A* = G^-1 A^T G_f that reads A^T G_f u = G v; applying A, whose A A^T is
-    diag(b^2), leaves G_f u = Y f (``_normal_inverse``).  The independent check:
-    |A w - f|_s / |f|_s and |w - v|_s, measured on w = A* u.
+    diag(b^2), leaves G_f u = Y f (``_ChargeSetup.normal_inverse``).  The
+    independent check: |A w - f|_s / |f|_s and |w - v|_s, measured on w = A* u.
 
     A FormPoly / CPolynomial f is solved exactly, one charge at a time
     (``_neumann_exact``); a float vector is multiplied by N = G_f^-1 Y and A*,
@@ -281,13 +281,14 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 # positive definite.  dbar shifts charge by +1, so the Galerkin problems
 # factor over charges into blocks of size <= (d+2)/2.  The routines below
 # certify positivity, bound the operator and solve exactly on those blocks,
-# from the integer rows of ``sobolev.gram_block_rows``:
+# read from the store of the (d, s), the cached degree-d ``SobolevGram``, which
+# keeps each form charge's ``_ChargeSetup`` with its one elimination (``_setup``):
 #
 #   * in basis order the dbar block of a form charge kappa is A = [0 | D]:
 #     the function column h = z^(kappa-1) (present when kappa >= 1) is
 #     holomorphic and every other column (a, b) maps to the form row
-#     (a, b-1) with weight b, so D = diag(b) (``_charge_setups`` asserts
-#     this per charge).  The dbar normal matrix M = A G_func^-1 A^T is then
+#     (a, b-1) with weight b, so D = diag(b) (``_setup`` asserts this per
+#     charge).  The dbar normal matrix M = A G_func^-1 A^T is then
 #     inverted in closed form by the block-inverse (Schur complement)
 #     identity, Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1;
 #   * every elimination that remains is fraction-free (Bareiss, Math. Comp.
@@ -339,22 +340,6 @@ def _dot(x: list[int], y: list[int]) -> int:
 
 def _matvec(rows: list[list[int]], x: list[int]) -> list[int]:
     return [_dot(row, x) for row in rows]
-
-
-def _positive_definite_exact(rows: list[list[int]]) -> bool:
-    """Sylvester's criterion on integer rows (any positive multiple of the
-    matrix): every leading principal minor is positive."""
-    try:
-        return all(m > 0 for m in _bareiss(rows))
-    except ValueError:  # a zero minor
-        return False
-
-
-def _leading(rows: list[list[int]], den: int, n: int) -> tuple[list[list[int]], int]:
-    """The leading n x n part of the block rows / den, over its own lcm denominator."""
-    lead = [row[:n] for row in rows[:n]]
-    g = math.gcd(den, *(x for row in lead for x in row))
-    return [[x // g for x in row] for row in lead], den // g
 
 
 @dataclass
@@ -417,28 +402,6 @@ def _solve(rows: list[list[int]], rhs: _Scaled, scale: int) -> _Scaled:
                    det * rhs.den)
 
 
-def _normal_inverse(func: list[list[int]], den: int, hol: int,
-                    weights: list[int]) -> tuple[list[list[int]], int]:
-    """Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1 as integer rows over their lcm.
-
-    With G = func / den the Schur complement is (p G_SS - G_Sh G_hS) / (den p),
-    p = func[0][0]; D^-1 . D^-1 multiplies entry (i, j) by c_i c_j / lcm(b)^2
-    with c_i = lcm(b) / b_i.
-    """
-    if hol:
-        gh, p = func[0], func[0][0]
-        t = [[p * x - row[0] * y for x, y in zip(row[1:], gh[1:])] for row in func[1:]]
-        den *= p
-    else:
-        t = func
-    lb = math.lcm(*weights)
-    c = [lb // b for b in weights]
-    y = [[x * ci * cj for x, cj in zip(row, c)] for row, ci in zip(t, c)]
-    den *= lb * lb
-    g = math.gcd(den, *(x for row in y for x in row))
-    return [[x // g for x in row] for row in y], den // g
-
-
 @dataclass
 class _ChargeSetup:
     """The exact blocks of one form charge kappa at basis degree d.
@@ -448,31 +411,47 @@ class _ChargeSetup:
     leading part, and is the function block of charge kappa + 1.
     """
 
-    charge: int
     exps: list[tuple[int, int]]
     block: list[list[int]]
     den: int
     nf: int
-    form: list[list[int]]         # G_form = form / form_den, the leading nf x nf part
-    form_den: int
+    form: list[list[int]]         # G_form = form / den, the leading nf x nf part of block
     func_exps: list[tuple[int, int]]  # charge kappa - 1, degree d
     func: list[list[int]]         # G_func = func / func_den
     func_den: int
     hol: int                      # 1 when the first function column z^(kappa-1) is holomorphic
     weights: list[int]            # b of the other function columns, D = diag(b)
 
-    @cached_property
     def normal_inverse(self) -> tuple[list[list[int]], int]:
-        """Y = M^-1 as integer rows over their denominator."""
-        return _normal_inverse(self.func, self.func_den, self.hol, self.weights)
+        """Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1 as integer rows over their lcm,
+        on each call: the store keeps only its elimination, about ten times its cost.
+
+        With G_func = func / den the Schur complement is (p G_SS - G_Sh G_hS) / (den p),
+        p = func[0][0]; D^-1 . D^-1 multiplies entry (i, j) by c_i c_j / lcm(b)^2
+        with c_i = lcm(b) / b_i.
+        """
+        func, den = self.func, self.func_den
+        if self.hol:
+            gh, p = func[0], func[0][0]
+            func = [[p * x - row[0] * y for x, y in zip(row[1:], gh[1:])] for row in func[1:]]
+            den *= p
+        lb = math.lcm(*self.weights)
+        c = [lb // b for b in self.weights]
+        y = [[x * ci * cj for x, cj in zip(row, c)] for row, ci in zip(func, c)]
+        den *= lb * lb
+        g = math.gcd(den, *(x for row in y for x in row))
+        return [[x // g for x in row] for row in y], den // g
 
     @cached_property
-    def form_elimination(self) -> tuple[list[list[int]], int]:
-        """[G_form | Y | G[form rows, degree d]] after Bareiss, and det(form): with
-        Y = y / y_den the rows read [det I | det form^-1 y | det form^-1 block[:, nf:]]."""
-        y, _ = self.normal_inverse
+    def form_elimination(self) -> tuple[list[list[int]], list[int], int]:
+        """[G_form | Y | G[form rows, degree d]] after Bareiss, without its det I part;
+        its pivots, the leading principal minors of ``form``; and y_den.  With
+        Y = y / y_den and det = det(form) the rows read
+        [det form^-1 y | det form^-1 block[:, nf:]]."""
+        y, y_den = self.normal_inverse()
         work = [g + yr + br[self.nf:] for g, yr, br in zip(self.form, y, self.block)]
-        return work, _bareiss(work)[-1]
+        minors = _bareiss(work)
+        return [row[self.nf:] for row in work], minors, y_den
 
     def least_norm(self, f: _Scaled) -> _Scaled:
         """The canonical solution of A v = f, v_S = D^-1 f and v_h = -(G_hS v_S) / G_hh."""
@@ -485,34 +464,28 @@ class _ChargeSetup:
                        [-_dot(h, v.im)] + [p * x for x in v.im], v.den * lb * p)
 
 
-def _charge_setups(d: int, s: int, charges) -> Iterator[_ChargeSetup]:
-    """The set-up of each form charge in ``charges`` (ascending, within |kappa| < d).
-
-    Each degree-d block is built once: when the charges run consecutively the
-    block of one charge is reused as the function block of the next.
-    """
-    prev = None
-    for charge in charges:
-        if prev is not None and prev.charge == charge - 1:
-            func_exps, func, func_den = prev.exps, prev.block, prev.den
-        else:
-            func_exps = charge_exponents(charge - 1, d)
-            func, func_den = gram_block_rows(func_exps, s)
-        exps = charge_exponents(charge, d)
-        block, den = gram_block_rows(exps, s)
+def _setup(gram: SobolevGram, charge: int) -> _ChargeSetup:
+    """The set-up of form charge ``charge`` (|charge| < d) in the store of the degree-d
+    ``gram``, built on first read from the blocks of the charge and of charge - 1."""
+    if charge not in gram.setups:
+        d = gram.basis.degree
+        exps, func_exps = charge_exponents(charge, d), charge_exponents(charge - 1, d)
+        block, den = gram.block(charge)
         nf = len(charge_exponents(charge, d - 1))
         hol = 1 if func_exps[0][1] == 0 else 0
         assert [(a, b - 1) for a, b in func_exps[hol:]] == exps[:nf]
-        form, form_den = _leading(block, den, nf)
-        prev = _ChargeSetup(charge, exps, block, den, nf, form, form_den, func_exps, func,
-                            func_den, hol, [b for _, b in func_exps[hol:]])
-        yield prev
+        gram.setups[charge] = _ChargeSetup(exps, block, den, nf,
+                                           [row[:nf] for row in block[:nf]], func_exps,
+                                           *gram.block(charge - 1), hol,
+                                           [b for _, b in func_exps[hol:]])
+    return gram.setups[charge]
 
 
 def _operators(cx: DiscreteComplex) -> tuple:
     """CSR (N, P, A*) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form), kept on
-    the degree-d Gram from the first call.  Per form charge, fraction-free eliminations of
-    [G_form | Y | G[form rows, degree d]] and [G_func | A^T G_form], rounded once, correctly."""
+    the degree-d Gram from the first call.  Per form charge, the store's elimination of
+    [G_form | Y | G[form rows, degree d]] and a transient one of [G_func | A^T G_form],
+    rounded once, correctly."""
     if cx.gram.operators is None:
         import scipy.sparse  # on first use, like the float Cholesky
         coo = ([], [], [])  # (row, column, value) entries of N, P and A*
@@ -522,19 +495,20 @@ def _operators(cx: DiscreteComplex) -> tuple:
                            for j, x in zip(cols, row[start:]))
 
         d = cx.basis.degree
-        for cs in _charge_setups(d, cx.s, range(-(d - 1), d)):
-            nf, y_den = cs.nf, cs.normal_inverse[1]
+        for charge in range(1 - d, d):
+            cs = _setup(cx.gram, charge)
+            nf = cs.nf
             form = [cx.form_basis.index_of(*e) for e in cs.exps[:nf]]
             cols = [cx.basis.index_of(*e) for e in cs.exps]
-            work, det = cs.form_elimination
-            put(0, form, form, work, nf, cs.form_den, det * y_den)
+            work, (*_, det), y_den = cs.form_elimination
+            put(0, form, form, work, 0, cs.den, det * y_den)
             coo[1].extend((i, j, 1.0) for i, j in zip(form, cols))
-            put(1, form, cols[nf:], work, 2 * nf, cs.form_den, det * cs.den)
+            put(1, form, cols[nf:], work, nf, cs.den, det * cs.den)
             work = [g + r for g, r in zip(cs.func, [[0] * nf] * cs.hol + [
                 [b * x for x in row] for b, row in zip(cs.weights, cs.form)])]
             det = _bareiss(work)[-1]
             put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, work, len(work),
-                cs.func_den, det * cs.form_den)
+                cs.func_den, det * cs.den)
         nf, nu = cx.form_basis.dim, cx.basis.dim
         shapes = [(nf, nf), (nf, nu), (nu, nf)]
         cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
@@ -542,14 +516,33 @@ def _operators(cx: DiscreteComplex) -> tuple:
     return cx.gram.operators
 
 
+def _block_minors(cs: _ChargeSetup) -> list[int]:
+    """The leading principal minors of the degree-d block of the charge, as integer
+    rows (den^k times G's), read off ``form_elimination`` (ValueError at a zero pivot).
+
+    The pivots are the minors of form = block[:nf, :nf].  A last row [b^T, c] adds
+    det(block) = det(form) (c - b^T form^-1 b) (Schur complement): one dot product
+    with the elimination's last column, det(form) form^-1 b.
+    """
+    work, minors, _ = cs.form_elimination
+    if len(cs.block) == cs.nf:
+        return minors
+    last = cs.block[-1]
+    return minors + [minors[-1] * last[-1] - _dot(last, [row[-1] for row in work])]
+
+
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
-    """Certify positive definiteness of the degree-d W^s Gram, exactly."""
+    """Certify positive definiteness of the degree-d W^s Gram, exactly, by Sylvester's
+    criterion per charge block: the 1 x 1 blocks of charge +-d by their sign, every
+    other one from its set-up's pivots (``_block_minors``), with no elimination."""
     _check_size(d, s)
-    for charge in range(-d, d + 1):
-        rows, _ = gram_block_rows(charge_exponents(charge, d), s)
-        if rows and not _positive_definite_exact(rows):
-            return False
-    return True
+    gram = cached_gram(d, s)
+    try:
+        return (all(gram.block(charge)[0][0][0] > 0 for charge in (-d, d))
+                and all(m > 0 for charge in range(1 - d, d)
+                        for m in _block_minors(_setup(gram, charge))))
+    except ValueError:  # a zero leading minor
+        return False
 
 
 def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
@@ -557,23 +550,24 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
 
     For a form basis vector e_k in charge block kappa, the solve reads
     y = M^-1 e_k with M = A G_func^-1 A^T, and |N_s e_k|_s^2 = y^T G_form^-1 y;
-    both Grams and the integer dbar block A live on single charges.  M^-1 is
-    the closed-form Y of ``_normal_inverse``, so the only elimination left is
-    G_form W = Y, the one ``_operators`` builds N from (``form_elimination``),
+    both Grams and the integer dbar block A live on single charges.  M^-1 is the
+    closed-form Y of ``_ChargeSetup.normal_inverse``, so the only elimination left
+    is G_form W = Y, the one ``_operators`` builds N from (``form_elimination``),
     and |N_s e_k|_s^2 = (Y^T W)_kk.
     """
     _check_size(d, s)
+    gram = cached_gram(d, s)
     best = Fraction(0)
-    for cs in _charge_setups(d, s, range(-(d - 1), d)):
-        y, y_den = cs.normal_inverse
-        nf = cs.nf
-        rows, det = cs.form_elimination
-        # rows[t][nf + k] = det (form^-1 y)[t][k], with G_form = form / form_den and
+    for charge in range(1 - d, d):
+        cs = _setup(gram, charge)
+        y, y_den = cs.normal_inverse()
+        rows, (*_, det), _ = cs.form_elimination
+        # rows[t][k] = det (form^-1 y)[t][k], with G_form = form / den and
         # Y = y / y_den: (Y^T W)_kk / G_form[k][k]
-        #   = form_den^2 (y^T form^-1 y)_kk / (y_den^2 form[k][k])
-        for k in range(nf):
-            num = sum(y[t][k] * rows[t][nf + k] for t in range(nf))
-            best = max(best, Fraction(cs.form_den**2 * num, y_den**2 * det * cs.form[k][k]))
+        #   = den^2 (y^T form^-1 y)_kk / (y_den^2 form[k][k])
+        for k in range(cs.nf):
+            num = sum(y[t][k] * rows[t][k] for t in range(cs.nf))
+            best = max(best, Fraction(cs.den**2 * num, y_den**2 * det * cs.form[k][k]))
     return math.sqrt(float(best))
 
 
@@ -633,17 +627,18 @@ def _canonical_exact(f, d: int, s: int) -> LeastNormSolution:
     max_k |<u, z^k>_s| / (|u|_s |z^k|_s) over the holomorphic monomials.
     """
     terms, f_den = _charges_of(f, d - 1)
-    basis = MonomialBasis(d)
-    coeffs = np.zeros(basis.dim, dtype=complex)
+    gram = cached_gram(d, s)
+    coeffs = np.zeros(gram.dim, dtype=complex)
     f2 = r2 = u2 = Fraction(0)
     kernel = Fraction(0)  # max over charges of |<u, z^k>|^2 / |z^k|^2
-    for cs in _charge_setups(d, s, sorted(terms)):
-        fs = _coefficients(terms[cs.charge], f_den, cs.exps[:cs.nf])
+    for charge in sorted(terms):
+        cs = _setup(gram, charge)
+        fs = _coefficients(terms[charge], f_den, cs.exps[:cs.nf])
         u = cs.least_norm(fs).rounded()
-        _place(coeffs, basis, cs.func_exps, u)
+        _place(coeffs, gram.basis, cs.func_exps, u)
         ut = _Scaled.of_complex(u)
-        f2 += fs.norm2(cs.form, cs.form_den)
-        r2 += ut.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.form_den)
+        f2 += fs.norm2(cs.form, cs.den)
+        r2 += ut.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.den)
         u2 += ut.norm2(cs.func, cs.func_den)
         if cs.hol:  # <u, z^k> = (G u)_h; the func_den factors cancel in the ratio
             h = cs.func[0]
@@ -665,21 +660,23 @@ def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
     canonical solution v are exact on it.
     """
     terms, f_den = _charges_of(f, d - 1)
+    gram = cached_gram(d, s)
     form_basis = MonomialBasis(d - 1)
     coeffs = np.zeros(form_basis.dim, dtype=complex)
     f2 = r2 = u2 = m2 = Fraction(0)
-    for cs in _charge_setups(d, s, sorted(terms)):
+    for charge in sorted(terms):
+        cs = _setup(gram, charge)
         form_exps = cs.exps[:cs.nf]
-        fs = _coefficients(terms[cs.charge], f_den, form_exps)
-        u = _solve(cs.form, fs.times(*cs.normal_inverse), cs.form_den).rounded()
+        fs = _coefficients(terms[charge], f_den, form_exps)
+        u = _solve(cs.form, fs.times(*cs.normal_inverse()), cs.den).rounded()
         _place(coeffs, form_basis, form_exps, u)
         ut = _Scaled.of_complex(u)
-        b_gu = ut.times(cs.form, cs.form_den).weighted(cs.weights)
+        b_gu = ut.times(cs.form, cs.den).weighted(cs.weights)
         pad = [0] * cs.hol  # A^T G_form u is zero on the holomorphic column
         w = _solve(cs.func, _Scaled(pad + b_gu.re, pad + b_gu.im, b_gu.den), cs.func_den)
-        f2 += fs.norm2(cs.form, cs.form_den)
-        r2 += w.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.form_den)
-        u2 += ut.norm2(cs.form, cs.form_den)
+        f2 += fs.norm2(cs.form, cs.den)
+        r2 += w.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.den)
+        u2 += ut.norm2(cs.form, cs.den)
         m2 += w.minus(cs.least_norm(fs)).norm2(cs.func, cs.func_den)
     return NeumannSolution(
         coeffs=coeffs,
@@ -709,25 +706,25 @@ def hodge_split(f, s: int | None = None, d: int | None = None,
     """
     d, s = _exact_size(s, d, cx)
     terms, f_den = _charges_of(f, d)
-    basis = MonomialBasis(d)
-    f1 = np.zeros(basis.dim, dtype=complex)
-    f2 = np.zeros(basis.dim, dtype=complex)
+    gram = cached_gram(d, s)
+    f1 = np.zeros(gram.dim, dtype=complex)
+    f2 = np.zeros(gram.dim, dtype=complex)
     g11 = g22 = Fraction(0)
     g12 = QC_ZERO  # <f1, f2>_s / pi
     for charge in sorted(terms):
         exps = charge_exponents(charge, d)
         fs = _coefficients(terms[charge], f_den, exps)
+        block, den = gram.block(charge)
         nf = len(charge_exponents(charge, d - 1))
-        block, den = gram_block_rows(exps, s)
         c = [0j] * len(exps)
-        if nf:
-            form, form_den = _leading(block, den, nf)
-            c[:nf] = _solve(form, fs.times(block[:nf], den), form_den).rounded()
+        if nf:  # project onto the form block, the leading nf x nf part
+            c[:nf] = _solve([row[:nf] for row in block[:nf]], fs.times(block[:nf], den),
+                            den).rounded()
         p1 = _Scaled.of_complex(c)
         r = fs.minus(p1).rounded()
         p2 = _Scaled.of_complex(r)
-        _place(f1, basis, exps, c)
-        _place(f2, basis, exps, r)
+        _place(f1, gram.basis, exps, c)
+        _place(f2, gram.basis, exps, r)
         g1 = p1.times(block, den)
         g11 += g1.conj_dot(p1).re
         g12 = g12 + g1.conj_dot(p2)

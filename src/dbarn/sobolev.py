@@ -23,16 +23,18 @@ same-charge entry in closed form:
         = sum_{k<=s} 2^k * 2/(a+b+c+d-2k+2) * sum_i C(k,i) (a)_i (c)_i (b)_{k-i} (d)_{k-i}
 
 with (x)_i the falling factorial.  ``gram_block_rows`` evaluates it exactly,
-as integer rows over one common denominator; the dense float Gram and the
-exact per-charge solvers both read their entries from it, and ``gram_block``
-is its Fraction view.  The symbolic ``inner_s_exact`` (derivatives of
-polynomials, then disc integrals) stays as the independent oracle.
+as integer rows over one common denominator.  The cached ``SobolevGram`` of
+a (degree, s) is the one store of those blocks, built per charge on first
+read: the exact per-charge solvers read them and keep their set-ups next to
+them, and the dense float matrix is scattered from them on its first read.
+The symbolic ``inner_s_exact`` stays as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -182,38 +184,56 @@ def real_matvec(mat, u: np.ndarray) -> np.ndarray:
     return (mat @ u.view(float).reshape(len(u), -1)).view(u.dtype).ravel()
 
 
-@dataclass
 class SobolevGram:
-    """Dense Gram matrix of <. , .>_s on a monomial basis, for float inner products.
+    """The W^s Gram of one (degree, s), and the store of its exact charge blocks.
 
-    Entries are exact rational multiples of pi converted once to float64;
-    they are real (the inner product is invariant under conjugation of the
-    domain), as the closed-form charge blocks make explicit.  No solve reads
-    it: float solves apply exact per-charge ``operators``, dropped with the cache.
+    ``block(charge)``, ``neumann``'s per-charge ``setups`` and the dense float64
+    ``matrix`` are each built on first read and kept until the Gram cache drops
+    the object, so an exact computation never allocates the matrix.
+    ``operators`` are the float solve operators, kept by ``neumann``.
     """
 
-    s: int
-    basis: MonomialBasis
-    matrix: np.ndarray
-    _cho: tuple[np.ndarray, bool] | None = None
-    operators: tuple | None = None  # the float solve operators, kept by ``neumann``
+    def __init__(self, s: int, basis: MonomialBasis, matrix: np.ndarray | None = None):
+        self.s, self.basis = s, basis
+        if matrix is not None:
+            self.matrix = matrix
+        self._blocks: dict[int, tuple[list[list[int]], int]] = {}
+        self.setups: dict = {}  # form charge -> neumann's exact set-up
+        self.operators: tuple | None = None
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
+    def block(self, charge: int) -> tuple[list[list[int]], int]:
+        """(rows, den) of the charge block over ``charge_exponents(charge, degree)``."""
+        if charge not in self._blocks:
+            exps = charge_exponents(charge, self.basis.degree)
+            self._blocks[charge] = gram_block_rows(exps, self.s)
+        return self._blocks[charge]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense Gram.  An int quotient is correctly rounded, so ``row_entry / den``
+        is the float of the reduced fraction."""
+        basis = self.basis
+        mat = np.zeros((basis.dim, basis.dim), dtype=float)
+        for charge in range(-basis.degree, basis.degree + 1):
+            idx = [basis.index_of(a, b) for a, b in charge_exponents(charge, basis.degree)]
+            rows, den = self.block(charge)
+            mat[np.ix_(idx, idx)] = [[x / den * math.pi for x in row] for row in rows]
+        return mat
+
     def cholesky(self) -> tuple[np.ndarray, bool]:
+        """``cho_factor`` of the matrix, on each call (no solve factors the Gram: its
+        Hilbert-type blocks break float64 down around degree 25, a ValueError)."""
         import scipy.linalg  # on first use: the solvers never need it
 
-        if self._cho is None:
-            try:
-                self._cho = scipy.linalg.cho_factor(self.matrix)
-            except scipy.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"Gram matrix (degree {self.basis.degree}, s={self.s}) is not "
-                    f"numerically positive definite: {exc}"
-                ) from exc
-        return self._cho
+        try:
+            return scipy.linalg.cho_factor(self.matrix)
+        except scipy.linalg.LinAlgError as exc:
+            raise ValueError(f"Gram matrix (degree {self.basis.degree}, s={self.s}) is not "
+                             f"numerically positive definite: {exc}") from exc
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v>_s for coefficient vectors over the basis."""
@@ -245,7 +265,7 @@ def gram_block_rows(exps: list[tuple[int, int]], s: int) -> tuple[list[list[int]
     if s < 0:
         raise ValueError("s must be non-negative")
     if len({a - b for a, b in exps}) > 1:
-        raise ValueError("gram_block needs exponents of a single charge")
+        raise ValueError("a Gram block needs exponents of a single charge")
     weights = [[2**k * math.comb(k, i) for i in range(k + 1)] for k in range(s + 1)]
     # falling factorials (a)_t and (b)_t, t <= s; 0 when the derivative kills the monomial
     falling = [([math.perm(a, t) for t in range(s + 1)],
@@ -275,42 +295,22 @@ def gram_block_rows(exps: list[tuple[int, int]], s: int) -> tuple[list[list[int]
     return [[x // g for x in row] for row in rows], common // g
 
 
-def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
-    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, as Fractions."""
-    rows, den = gram_block_rows(exps, s)
-    return [[Fraction(x, den) for x in row] for row in rows]
-
-
 def assemble_gram(basis: MonomialBasis, s: int) -> SobolevGram:
-    """Gram matrix of <. , .>_s on the basis, cached per (degree, s).
-
-    Each charge block comes exact from ``gram_block_rows`` and is scattered
-    into the dense matrix as float(entry) * pi; cross-charge entries are zero.
-    An int quotient is correctly rounded, so ``row_entry / den`` is the float
-    of the reduced fraction.
-    """
+    """The Gram of <. , .>_s on the basis (``cached_gram``), after checking s and the size."""
     if s < 0 or s > MAX_S:
         raise ValueError(f"s must lie in 0..{MAX_S}")
     if basis.dim > MAX_DIM:
         raise ValueError(f"basis dimension {basis.dim} exceeds the cap {MAX_DIM}")
-    key = (basis.degree, s)
-    cached = _GRAM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return cached_gram(basis.degree, s)
 
-    mat = np.zeros((basis.dim, basis.dim), dtype=float)
-    for charge in range(-basis.degree, basis.degree + 1):
-        exps = charge_exponents(charge, basis.degree)
-        idx = [basis.index_of(a, b) for a, b in exps]
-        rows, den = gram_block_rows(exps, s)
-        mat[np.ix_(idx, idx)] = [[x / den * math.pi for x in row] for row in rows]
 
-    # Nothing is factored: the charge blocks are Hilbert-type, and their float64
-    # factorization breaks down around degree 25, so every solve runs on exact
-    # rational blocks (see the neumann module) and assembly itself never fails.
-    gram = SobolevGram(s=s, basis=basis, matrix=mat)
-    _GRAM_CACHE[key] = gram
-    return gram
+def cached_gram(degree: int, s: int) -> SobolevGram:
+    """The cached Gram of (degree, s), the store the exact solvers read, created with
+    nothing built on first request; the caller has checked degree and s."""
+    key = (degree, s)
+    if key not in _GRAM_CACHE:
+        _GRAM_CACHE[key] = SobolevGram(s, MonomialBasis(degree))
+    return _GRAM_CACHE[key]
 
 
 def leading_subgram(gram: SobolevGram, degree: int) -> SobolevGram:
@@ -318,15 +318,12 @@ def leading_subgram(gram: SobolevGram, degree: int) -> SobolevGram:
 
     The basis ordering is degree graded, so the leading principal block of
     the degree-d Gram is exactly the Gram of any lower degree; the slice is a
-    view of the larger Gram's memory, so it costs no second assembly or copy,
-    and it seeds the cache.
+    view of the larger Gram's memory, so it costs no second assembly or copy.
+    It becomes the matrix of the cached lower-degree Gram, unless that has one.
     """
     if not 0 <= degree <= gram.basis.degree:
         raise ValueError(f"degree must lie in 0..{gram.basis.degree}")
-    key = (degree, gram.s)
-    if key not in _GRAM_CACHE:
-        sub_basis = MonomialBasis(degree)
-        _GRAM_CACHE[key] = SobolevGram(
-            s=gram.s, basis=sub_basis,
-            matrix=gram.matrix[: sub_basis.dim, : sub_basis.dim])
-    return _GRAM_CACHE[key]
+    sub = cached_gram(degree, gram.s)
+    if "matrix" not in vars(sub):  # not built yet
+        sub.matrix = gram.matrix[: sub.dim, : sub.dim]
+    return sub

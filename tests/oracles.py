@@ -15,7 +15,8 @@ Laplacian and the exact disc pairing act on plain term maps
 
 The Galerkin solutions are recomputed per charge block in exact Fractions
 from the textbook normal equations, with no use of the closed forms the
-library solves by.
+library solves by, and the Gram's positive definiteness is certified by a
+standalone elimination of every block, with no use of the library's store.
 
 The sampled W^s inner product is recomputed on the grid, from derivative
 fields in the orthonormal polar frame, with no use of the angular Fourier
@@ -35,7 +36,8 @@ import numpy as np
 from dbarn.bvp import DiscKOperator
 from dbarn.forms import QC_I, QC_ZERO, BiExponent, CPolynomial, CRational, FormPoly
 from dbarn.geometry import SampledField, normal_derivative
-from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block
+from dbarn.neumann import _bareiss
+from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block_rows
 
 FullTensor = dict[tuple[int, ...], CPolynomial]
 
@@ -219,6 +221,32 @@ def pair_L2_terms(p: Terms, q: Terms) -> CRational:
             if a + d == b + c:
                 total = total + (cp * cq.conjugate()).scale(Fraction(2, a + b + c + d + 2))
     return total
+
+
+# -- exact Gram blocks ---------------------------------------------------------------
+
+
+def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
+    """Exact <z^a zbar^b, z^c zbar^d>_s / pi over same-charge exponents, as Fractions:
+    the ``gram_block_rows`` entries, each reduced on its own."""
+    rows, den = gram_block_rows(exps, s)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def positive_definite_exact(rows: list[list[int]]) -> bool:
+    """Sylvester's criterion on integer rows (any positive multiple of the
+    matrix), by a standalone elimination: every leading principal minor is positive."""
+    try:
+        return all(m > 0 for m in _bareiss([row[:] for row in rows]))
+    except ValueError:  # a zero minor
+        return False
+
+
+def gram_positive_definite_exact(d: int, s: int) -> bool:
+    """Positive definiteness of the degree-d W^s Gram, block by block, each block
+    built afresh and eliminated on its own."""
+    return all(positive_definite_exact(gram_block_rows(charge_exponents(charge, d), s)[0])
+               for charge in range(-d, d + 1))
 
 
 # -- exact Galerkin solutions ------------------------------------------------------

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -253,6 +255,21 @@ def test_blowup_subcommand(tmp_path):
                  "--eps-max", "0.125", "--points", "25", "--out", str(out)])
     assert code == 0
     assert len(json.loads(out.read_text())["rows"]) == 25
+
+
+def test_help_shows_every_default():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        # one entry per flag: its invocation, then its (wrapped) help
+        help_text = subparser.format_help()
+        entries = [" ".join(e.split()) for e in re.split(r"\n  (?=-)", help_text)]
+        for action in subparser._actions:
+            if action.default in (None, argparse.SUPPRESS):
+                continue
+            flag = action.option_strings[0]
+            entry = next(e for e in entries if e.startswith((flag + " ", flag + ",")))
+            assert f"(default: {action.default})" in entry, (name, flag, entry)
 
 
 def test_config_file_flags_win(tmp_path):

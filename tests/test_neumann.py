@@ -1,16 +1,20 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dbarn import neumann, sobolev
 from dbarn.forms import CPolynomial, CRational, FormPoly, random_cpolynomial
 from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
 from dbarn.neumann import (
     DiscreteComplex,
     _bareiss,
+    _block_minors,
     _integer_rows,
     _kernel_cosine,
-    _positive_definite_exact,
+    _setup,
     adjoint,
     blowup_experiment,
     canonical_solve_dbar,
@@ -23,13 +27,16 @@ from dbarn.neumann import (
     neumann_solve,
     verify_gram_positive_definite_exact,
 )
-from dbarn.sobolev import MonomialBasis, SobolevGram, charge_exponents, gram_block
+from dbarn.sobolev import MonomialBasis, SobolevGram, cached_gram, charge_exponents
 from oracles import (
     exact_adjoint,
     exact_galerkin_solutions,
     exact_hodge_certificate,
     exact_hodge_split,
     fraction_solve,
+    gram_block,
+    gram_positive_definite_exact,
+    positive_definite_exact,
 )
 
 DZBAR = FormPoly(1, 1, {(1,): CPolynomial.const(1, 1)})
@@ -256,6 +263,119 @@ def test_exact_positive_definiteness():
     assert verify_gram_positive_definite_exact(40, 2)
 
 
+# -- the exact store of a (d, s) ---------------------------------------------------------
+
+
+@pytest.fixture
+def cold_store():
+    """An empty Gram cache, emptied again afterwards (a test may corrupt a store)."""
+    sobolev._GRAM_CACHE.clear()
+    yield
+    sobolev._GRAM_CACHE.clear()
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 12, 40])
+def test_store_positive_definiteness_matches_the_standalone_oracle(d, s):
+    assert verify_gram_positive_definite_exact(d, s) == gram_positive_definite_exact(d, s)
+    assert verify_gram_positive_definite_exact(d, s)
+
+
+def cauchy_minor(bs: list[int], charge: int) -> Fraction:
+    """det [1 / (b_i + b_j + charge + 1)]: the s = 0 block of the zbar exponents bs is
+    the Cauchy matrix 1 / (x_i + y_j), x = b, y = b + charge + 1, whose determinant is
+    prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)."""
+    num = math.prod((bj - bi) ** 2 for j, bj in enumerate(bs) for bi in bs[:j])
+    return Fraction(num, math.prod(bi + bj + charge + 1 for bi in bs for bj in bs))
+
+
+@pytest.mark.parametrize("d", [12, 20])
+def test_store_minors_are_the_cauchy_determinants(d):
+    # the block rows are den G, so the k-th minor is den^k times G's, both the pivots
+    # of the form block and the Schur-complement minor of a block with one row more
+    gram = cached_gram(d, 0)
+    for charge in range(1 - d, d):
+        cs = _setup(gram, charge)
+        bs = [b for _, b in cs.exps]
+        minors = _block_minors(cs)
+        assert len(minors) == len(bs)
+        for k, m in enumerate(minors, start=1):
+            assert Fraction(m, cs.den**k) == cauchy_minor(bs[:k], charge), (charge, k)
+    for charge, b in ((-d, d), (d, 0)):  # the 1 x 1 blocks
+        (x,), = gram.block(charge)[0]
+        assert Fraction(x, gram.block(charge)[1]) == cauchy_minor([b], charge)
+
+
+def test_a_block_made_indefinite_fails_the_pivot_reader(cold_store):
+    # charge 2 at degree 12: a 6 x 6 block past its 5 x 5 form block
+    gram = cached_gram(12, 1)
+    cs = _setup(gram, 2)
+    assert (len(cs.block), cs.nf) == (6, 5) and verify_gram_positive_definite_exact(12, 1)
+    corner = [row[:] for row in cs.block]
+    corner[-1][-1] = 0  # the Schur complement -b^T F^-1 b is negative
+    form = [row[:] for row in cs.form]
+    form[1][1] = 0  # the second pivot is -form[0][1]^2
+    singular = [row[:] for row in cs.form]
+    singular[0][0] = 0  # a zero first pivot stops the elimination
+    for broken in (dict(block=corner), dict(form=form), dict(form=singular)):
+        gram.setups[2] = dataclasses.replace(cs, **broken)
+        assert not verify_gram_positive_definite_exact(12, 1), broken
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _bareiss(rows)
+
+    monkeypatch.setattr(neumann, "_bareiss", counted)
+    return calls
+
+
+def test_a_repeated_certificate_runs_no_elimination(cold_store, bareiss_calls):
+    proxy = neumann_operator_norm_proxy_exact(20, 0)
+    assert len(bareiss_calls) == 39  # one per form charge
+    assert verify_gram_positive_definite_exact(20, 0)  # reads the proxy's pivots
+    assert neumann_operator_norm_proxy_exact(20, 0) == proxy
+    assert len(bareiss_calls) == 39
+    assert verify_gram_positive_definite_exact(10, 2)
+    assert len(bareiss_calls) == 39 + 19
+    neumann_operator_norm_proxy_exact(10, 2)
+    assert verify_gram_positive_definite_exact(10, 2)
+    assert len(bareiss_calls) == 39 + 19
+
+
+def test_clearing_the_gram_cache_drops_the_store(cold_store, bareiss_calls):
+    neumann_operator_norm_proxy_exact(10, 1)
+    store = sobolev._GRAM_CACHE[(10, 1)]
+    assert sorted(store.setups) == list(range(-9, 10))
+    sobolev._GRAM_CACHE.clear()
+    assert cached_gram(10, 1) is not store
+    neumann_operator_norm_proxy_exact(10, 1)
+    assert len(bareiss_calls) == 2 * 19
+
+
+def test_exact_entry_points_build_no_dense_matrix(cold_store, rng):
+    phi = FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 5)})
+    neumann_operator_norm_proxy_exact(12, 1)
+    verify_gram_positive_definite_exact(12, 1)
+    canonical_solve_dbar(phi, s=1, d=12)
+    neumann_solve(phi, s=1, d=12)
+    hodge_split(phi, s=1, d=12)
+    assert list(sobolev._GRAM_CACHE) == [(12, 1)]
+    assert "matrix" not in vars(sobolev._GRAM_CACHE[(12, 1)])
+
+
+def test_a_one_charge_form_builds_only_its_charges(cold_store):
+    # z dzbar has charge 1: its set-up reads the blocks of charges 1 and 0
+    neumann_solve(FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}), s=2, d=40)
+    store = sobolev._GRAM_CACHE[(40, 2)]
+    assert list(store.setups) == [1]
+    assert sorted(store._blocks) == [0, 1]
+
+
 # -- the exact backend against Fraction Gauss-Jordan ------------------------------------
 
 
@@ -335,7 +455,7 @@ def test_bareiss_minors_are_the_leading_principal_minors(rng):
     rows, _ = _integer_rows(mat)
     minors = _bareiss([row[:] for row in rows])
     assert minors == [laplace_det([row[:k] for row in rows[:k]]) for k in range(1, 7)]
-    assert _positive_definite_exact(rows)
+    assert positive_definite_exact(rows)
 
 
 def test_singular_system_raises():
@@ -348,7 +468,7 @@ def test_singular_system_raises():
 
 def test_minors_route_rejects_non_positive_definite():
     def positive_definite(mat):
-        return _positive_definite_exact(_integer_rows(mat)[0])
+        return positive_definite_exact(_integer_rows(mat)[0])
 
     assert positive_definite([[Fraction(1), Fraction(1, 2)],
                               [Fraction(1, 2), Fraction(1, 3)]])

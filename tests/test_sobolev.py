@@ -14,7 +14,6 @@ from dbarn.sobolev import (
     MonomialBasis,
     assemble_gram,
     charge_exponents,
-    gram_block,
     gram_block_rows,
     inner_monomial_L2,
     inner_s_direct,
@@ -24,6 +23,7 @@ from dbarn.sobolev import (
     leading_subgram,
     pair_L2_exact,
 )
+from oracles import gram_block
 
 Z = CPolynomial.z(1, 1)
 ZB = CPolynomial.zbar(1, 1)
