@@ -50,6 +50,9 @@ from .geometry import (
 # from s = 3 the differences lose to roundoff at n = 128 with any closure tried
 MAX_FD_S = 2
 FD_CELLS_PER_S = 6  # the boundary stencils need at least 6 s cells
+# past these cell counts roundoff takes over: the convergence ratio leaves its
+# window from about 10^4 cells at s = 1 and 384 at s = 2
+MAX_FD_CELLS = {1: 4096, 2: 256}
 
 
 def characteristic_roots(s: int) -> np.ndarray:
@@ -180,6 +183,9 @@ def _check_fd_grid(s: int, n: int) -> None:
     if n < FD_CELLS_PER_S * s:
         raise ValueError(f"a grid of {n} cells is too coarse for the boundary stencils "
                          f"at s = {s}, which need at least {FD_CELLS_PER_S * s}")
+    if n > MAX_FD_CELLS[s]:
+        raise ValueError(f"a grid of {n} cells is too fine at s = {s}: above "
+                         f"{MAX_FD_CELLS[s]} its differences lose to roundoff")
 
 
 def solve_interval_fd(problem: Interval1DProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,9 +418,9 @@ class DiscKOperator:
         for idx in np.flatnonzero((hat != 0) & ~self._stack_done):
             self._stack[:, idx] = self.unit_profile(geom.theta_wavenumbers()[idx])
             self._stack_done[idx] = True
-        spectrum = hat * self._stack
+        spectrum = hat * self._stack  # the one grid-sized array, transformed in place
         spectrum *= geom.n_theta  # (hat * profile) * M, column by column
-        return SampledField(geom, np.fft.ifft(spectrum, axis=1))
+        return SampledField(geom, np.fft.ifft(spectrum, axis=1, out=spectrum))
 
     def bessel_oracle_error(self) -> float:
         """Max error of the solve with unit Neumann datum against its exact radial

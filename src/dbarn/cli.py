@@ -14,7 +14,8 @@ Each input limit is the library function's own: ``main`` turns a ValueError
 into one ``error:`` line with exit 1 and nothing on stdout (handlers print only
 at the end).  The CLI checks only its flags: a non-negative ``--seed`` and
 ``--points``, ordered ranges, ``--trials``, ``--criteria``, the form and config
-files and the kop memory caps (``CAPS``).
+files and the kop memory caps (``CAPS``).  A log-spaced grid's ``--points``
+meets the library's sample limit before the grid is allocated.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .sobolev import MonomialBasis
 
 SCHEMA_VERSION = 1
 
-# the kop grid's memory caps: at both a kop --input run peaks near 0.8 GB
+# the kop grid's memory caps: at both a kop --input run peaks near 0.5 GB (max RSS)
 CAPS = {"radial_nodes": 4800, "angular_nodes": 1024}
+MAX_GREENS_TRIALS = 200  # random pairs of one greens run, about 1 ms each
 
 
 def _check_cap(flag: str, value: int, cap_key: str) -> None:
@@ -44,10 +46,14 @@ def _check_cap(flag: str, value: int, cap_key: str) -> None:
         raise ValueError(f"{flag}={value} is above its memory cap {CAPS[cap_key]}")
 
 
-def _check_log_range(lo_flag: str, lo: float, hi_flag: str, hi: float) -> None:
-    # the grid's own need; which values the computation takes is the library's
+def _check_log_range(lo_flag: str, lo: float, hi_flag: str, hi: float,
+                     points: int, max_points: int) -> None:
+    # the grid's own need; which values the computation takes is the library's,
+    # but its sample limit is read here too, before the grid is allocated
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"a log-spaced grid needs 0 < {lo_flag} <= {hi_flag} < inf")
+    if points > max_points:
+        raise ValueError(f"--points={points} is above its limit {max_points}")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -119,7 +125,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_ellipticity(args: argparse.Namespace) -> int:
-    _check_log_range("--xi-min", args.xi_min, "--xi-max", args.xi_max)
+    _check_log_range("--xi-min", args.xi_min, "--xi-max", args.xi_max,
+                     args.points, ellipticity.MAX_XI_SAMPLES)
     grid = np.logspace(math.log10(args.xi_min), math.log10(args.xi_max), args.points)
     report = ellipticity.certify_trivial_kernel(args.s, grid)
     rows = [{"xi": smp.xi, "det": smp.det, "det_scaled": smp.det_scaled,
@@ -163,9 +170,9 @@ def _cmd_kop(args: argparse.Namespace) -> int:
     }
     if args.input:
         psi = _load_form(args)
-        field = geometry.SampledField.from_polynomial(geom, psi.component((1,)))
-        result = op.apply(field)
-        data = op.boundary_data(field)
+        # K psi as op.apply takes it, with the sampled psi freed before the solve
+        data = op.boundary_data(geometry.SampledField.from_polynomial(geom, psi.component((1,))))
+        result = op.solve_with_boundary_data(data)
         hat = np.abs(np.fft.fft(data) / geom.n_theta)
         wavenumbers = geom.theta_wavenumbers().astype(int)
         payload["input"] = args.input
@@ -243,8 +250,8 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
 
 
 def _cmd_greens(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials={args.trials} must be at least 1")
+    if not 1 <= args.trials <= MAX_GREENS_TRIALS:
+        raise ValueError(f"--trials={args.trials} must lie in 1..{MAX_GREENS_TRIALS}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -264,7 +271,8 @@ def _cmd_greens(args: argparse.Namespace) -> int:
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
-    _check_log_range("--eps-min", args.eps_min, "--eps-max", args.eps_max)
+    _check_log_range("--eps-min", args.eps_min, "--eps-max", args.eps_max,
+                     args.points, neumann.MAX_BLOWUP_POINTS)
     eps_list = list(np.geomspace(args.eps_max, args.eps_min, args.points))
     rep = neumann.blowup_experiment(args.s, eps_list, delta=args.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}

@@ -36,6 +36,7 @@ import numpy as np
 
 DET_THRESHOLD = 1e-10
 MAX_CERTIFY_S = 6
+MAX_XI_SAMPLES = 1000
 XI_RANGE = (1e-6, 1e6)  # s <= 6 is warning-free in 1e-8..1e8; at 1e13 det overflows
 
 # Exact symbol in derivative powers: {d_power: {xi^2 power: integer coeff}}.
@@ -183,6 +184,8 @@ def certify_trivial_kernel(s: int, xi_grid: Sequence[float]) -> LopatinskiReport
         raise ValueError(f"certification supports s in 1..{MAX_CERTIFY_S}")
     if len(xi_grid) == 0:
         raise ValueError("the xi grid is empty")
+    if len(xi_grid) > MAX_XI_SAMPLES:
+        raise ValueError(f"the xi grid has {len(xi_grid)} samples, more than {MAX_XI_SAMPLES}")
     lo, hi = XI_RANGE
     if not all(lo <= xi <= hi for xi in xi_grid):
         raise ValueError(f"xi values must lie in the certified range {lo:g}..{hi:g}")

@@ -23,6 +23,11 @@ sum of F conj(G) over the DFT modes, so theta derivatives become per-mode
 multipliers and no inverse FFT is taken.  This is the same quadrature as the
 grid sum; only the rounding differs, by about 1e-15 relative (more only where
 the terms cancel, as the r^-2 terms of an s = 2 norm do near the origin).
+Each term is built in turn in one reusable workspace of s + 1 complex
+(n_r, M) spectra per grid (``DiscGeometry.ws_workspace``), and the radial
+stencils act on it in cached blocks of RADIAL_BLOCK_ROWS rows, so a warm sum
+allocates nothing the size of the grid.  The workspace serves one caller at
+a time per geometry.
 
 Tangential decomposition on the disc: D_1 = Y_1 + nu_1 N and
 D_2 = Y_2 + nu_2 N with Y_1 = -(sin theta / r) d/dtheta and
@@ -37,7 +42,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -49,6 +54,8 @@ DEFAULT_STENCIL_SPACING = 0.012
 MIN_RADIAL_NODES = 16
 MIN_ANGULAR_NODES = 8
 MAX_REFINE_DEPTH = 24
+# a stencil block's product is 64 KiB at M = 128, under glibc's 128 KiB mmap threshold
+RADIAL_BLOCK_ROWS = 32
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -220,6 +227,18 @@ class DiscGeometry:
 
         return self._cached(f"dr{order}", build)
 
+    def radial_derivative_blocks(self, order: int) -> list[tuple[int, scipy.sparse.csr_matrix]]:
+        """``radial_derivative_matrix`` as (first row, block) pairs of RADIAL_BLOCK_ROWS
+        rows each: a block's product with a spectrum is a small temporary, and
+        each row sums its stencil in the same order as the full matrix does."""
+
+        def build() -> list[tuple[int, scipy.sparse.csr_matrix]]:
+            mat = self.radial_derivative_matrix(order)
+            return [(start, mat[start:start + RADIAL_BLOCK_ROWS])
+                    for start in range(0, self.n_r, RADIAL_BLOCK_ROWS)]
+
+        return self._cached(f"dr{order}_blocks", build)
+
     def theta_wavenumbers(self) -> np.ndarray:
         return self._cached(
             "wavenumbers",
@@ -256,6 +275,17 @@ class DiscGeometry:
                              k_even=-self.theta_multiplier(2).real, inv_r=inv_r)
 
         return self._cached("ws_weights", build)
+
+    def ws_workspace(self, s: int) -> list[np.ndarray]:
+        """The s + 1 complex (n_r, M) scratch spectra of one sampled W^s sum.
+
+        Allocated on first use and grown only when a larger s asks, so a warm
+        sum allocates nothing the size of the grid; one caller at a time.
+        """
+        spectra = self._cached("ws_workspace", list)
+        while len(spectra) <= s:
+            spectra.append(np.empty((self.n_r, self.n_theta), dtype=complex))
+        return spectra[:s + 1]
 
     # -- integrals -------------------------------------------------------------
 
@@ -420,37 +450,44 @@ def tangential_decompose(j: int, f: SampledField) -> tuple[SampledField, Sampled
     return SampledField(f.geom, yj), SampledField(f.geom, npart)
 
 
-def _radial_spectrum(geom: DiscGeometry, order: int, spec: np.ndarray) -> np.ndarray:
-    """d^order/dr^order of an angular spectrum: the real stencil on its real view."""
-    return (geom.radial_derivative_matrix(order) @ spec.view(float)).view(complex)
+def _radial_spectrum(geom: DiscGeometry, order: int, spec: np.ndarray,
+                     out: np.ndarray) -> None:
+    """d^order/dr^order of an angular spectrum into out: the real stencil on its
+    real view, one cached row block at a time, so no grid-sized product is made."""
+    x, y = spec.view(float), out.view(float)
+    for start, block in geom.radial_derivative_blocks(order):
+        y[start:start + block.shape[0]] = block @ x
 
 
-def _ws_spectra(f: SampledField, s: int) -> list[np.ndarray]:
+def _ws_terms(f: SampledField, s: int, spectra: list[np.ndarray]) -> Iterator[np.ndarray]:
     """Weighted angular spectra of [f, f_r, H_rr, H_rtheta, H_thetatheta] up to order s.
 
+    The terms come one at a time in spectra[s], which the next term overwrites;
+    spectra[0] holds the spectrum F of f (scaled to F / r and k^2 F / r once
+    the radial derivatives are taken) and spectra[1] its radial derivative F_r.
     The Hessian components are those of the orthonormal polar frame, per mode
     H_rtheta = ik (F_r - F / r) / r and H_thetatheta = (F_r - k^2 F / r) / r;
-    each spectrum is scaled in place by the root of its quadrature weight,
-    which carries the multiplier ik and the outer 1/r, so the squares of the
-    two differences are never expanded into cancelling cross terms.
+    each term is scaled by the root of its quadrature weight, which carries
+    the multiplier ik and the outer 1/r, so the squares of the two
+    differences are never expanded into cancelling cross terms.
     """
     geom = f.geom
     w = geom.ws_weights()
-    spec = np.fft.fft(f.values, axis=1)
-    out = [spec]
+    spec, f_r, term = spectra[0], spectra[min(s, 1)], spectra[s]
+    np.fft.fft(f.values, axis=1, out=spec)
+    yield np.multiply(spec, w.root_value_s1 if s else w.root_area, out=term)
     if s >= 1:
-        out.append(_radial_spectrum(geom, 1, spec))
+        _radial_spectrum(geom, 1, spec, f_r)
+        yield np.multiply(f_r, w.root_area, out=term)
     if s >= 2:
-        h_rt = spec * w.inv_r            # F / r, then F_r - F / r
-        h_tt = h_rt * w.k_even           # k^2 F / r, then F_r - k^2 F / r
-        np.subtract(out[1], h_tt, out=h_tt)
-        np.subtract(out[1], h_rt, out=h_rt)
-        out += [_radial_spectrum(geom, 2, spec), h_rt, h_tt]
-    roots = [w.root_value_s1 if s else w.root_area, w.root_area, w.root_area,
-             w.root_h_rtheta, w.root_h_thetatheta]
-    for spectrum, root in zip(out, roots):
-        spectrum *= root
-    return out
+        _radial_spectrum(geom, 2, spec, term)
+        yield np.multiply(term, w.root_area, out=term)
+        spec *= w.inv_r      # F / r
+        np.subtract(f_r, spec, out=term)
+        yield np.multiply(term, w.root_h_rtheta, out=term)
+        spec *= w.k_even     # k^2 F / r
+        np.subtract(f_r, spec, out=term)
+        yield np.multiply(term, w.root_h_thetatheta, out=term)
 
 
 def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
@@ -461,13 +498,19 @@ def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
     are exactly the gamma-weighted derivative sums of orders 1 and 2.  The
     trapezoidal theta sum is taken per angular mode (Parseval), so each
     theta derivative is its multiplier folded into a weight table, and each
-    term is one dot product of two weighted spectra.
+    term is one dot product of two weighted spectra.  f's terms are built in
+    its grid's workspace (``DiscGeometry.ws_workspace``); a g that is not f
+    walks its terms in lockstep through buffers of its own.
     """
     if s not in (0, 1, 2):
         raise ValueError("sampled W^s inner products support s in {0, 1, 2}")
-    fs = _ws_spectra(f, s)
-    gs = fs if g is f else _ws_spectra(g, s)
-    return complex(sum(np.vdot(gk, fk) for fk, gk in zip(fs, gs)))
+    fs = _ws_terms(f, s, f.geom.ws_workspace(s))
+    if g is f:
+        pairs = ((term, term) for term in fs)
+    else:
+        spectra = [np.empty(g.values.shape, dtype=complex) for _ in range(s + 1)]
+        pairs = zip(fs, _ws_terms(g, s, spectra))
+    return complex(sum(np.vdot(gk, fk) for fk, gk in pairs))
 
 
 def ws_norm_sampled(f: SampledField, s: int) -> float:

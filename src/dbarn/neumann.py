@@ -73,6 +73,7 @@ MAX_NEUMANN_D = 40
 MAX_GREENS_S = 2
 BLOWUP_S = (1, 2)
 BLOWUP_EPS = (2.0**-12, 2.0**-3)
+MAX_BLOWUP_POINTS = 32
 # the cutoff lies inside the disc and is no finer than the smallest eps resolved
 BLOWUP_DELTA = (2.0**-12, 1.0)
 
@@ -954,6 +955,8 @@ def blowup_experiment(s: int, eps_list: list[float] | None = None,
     if eps_list is None:
         eps_list = [2.0 ** (-k) for k in range(3, 11)]
     eps_list = sorted(eps_list, reverse=True)
+    if len(eps_list) > MAX_BLOWUP_POINTS:
+        raise ValueError(f"{len(eps_list)} eps values are more than {MAX_BLOWUP_POINTS}")
     lo, hi = BLOWUP_EPS
     if not all(lo <= eps <= hi for eps in eps_list):
         raise ValueError(f"eps values must lie in [2^{math.log2(lo):.0f}, 2^{math.log2(hi):.0f}]")

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 
 from dbarn.bvp import (
+    MAX_FD_CELLS,
     DiscKOperator,
     Interval1DProblem,
     apply_Gs_s1,
@@ -96,6 +97,8 @@ def test_fd_grid_cap():
     prob = Interval1DProblem.shaped(2, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="coarse"):
         solve_interval_fd(prob, 8)
+    with pytest.raises(ValueError, match="too fine"):
+        solve_interval_fd(prob, MAX_FD_CELLS[2] + 1)
     # order-6 differences lose to roundoff from n = 128 on
     prob = Interval1DProblem.shaped(3, [0.0] * 3, [0.0] * 3)
     with pytest.raises(ValueError, match="supports s"):

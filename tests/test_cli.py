@@ -14,13 +14,14 @@ import pytest
 import dbarn
 from dbarn.bvp import (
     FD_CELLS_PER_S,
+    MAX_FD_CELLS,
     MAX_FD_S,
     DiscKOperator,
     bessel_i_series,
     bessel_i_series_derivative,
 )
-from dbarn.cli import CAPS, _set_config_defaults, build_parser, main
-from dbarn.ellipticity import MAX_CERTIFY_S, XI_RANGE
+from dbarn.cli import CAPS, MAX_GREENS_TRIALS, _set_config_defaults, build_parser, main
+from dbarn.ellipticity import MAX_CERTIFY_S, MAX_XI_SAMPLES, XI_RANGE
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
 from dbarn.geometry import (
     MAX_REFINE_DEPTH,
@@ -33,6 +34,7 @@ from dbarn.neumann import (
     BLOWUP_DELTA,
     BLOWUP_EPS,
     BLOWUP_S,
+    MAX_BLOWUP_POINTS,
     MAX_GREENS_S,
     MAX_NEUMANN_D,
     MAX_NEUMANN_S,
@@ -393,6 +395,16 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
     pytest.param(["blowup", "--points", "0"], {}, id="blowup-points-0"),
     pytest.param(["bvp1d", "--fd-nodes", "2"], {}, id="bvp1d-fd-nodes-2"),
     pytest.param(["bvp1d", "--s", "2", "--fd-nodes", "11"], {}, id="bvp1d-s2-fd-nodes-11"),
+    pytest.param(["ellipticity", "--points", str(MAX_XI_SAMPLES + 1)], {},
+                 id="ellipticity-points-above-limit"),
+    pytest.param(["blowup", "--points", str(MAX_BLOWUP_POINTS + 1)], {},
+                 id="blowup-points-above-limit"),
+    pytest.param(["greens", "--trials", str(MAX_GREENS_TRIALS + 1)], {},
+                 id="greens-trials-above-limit"),
+    pytest.param(["bvp1d", "--fd-nodes", str(MAX_FD_CELLS[1] // 2 + 1)], {},
+                 id="bvp1d-fd-nodes-above-limit"),
+    pytest.param(["bvp1d", "--s", "2", "--fd-nodes", str(MAX_FD_CELLS[2] // 2 + 1)], {},
+                 id="bvp1d-s2-fd-nodes-above-limit"),
     pytest.param(["kop", "--input", "{tmp}/missing.form"], {}, id="missing-form-file"),
     pytest.param(["canonical", "--f", "{tmp}/cut.form"], {"cut.form": TRUNCATED_FORM},
                  id="truncated-form-canonical"),
@@ -447,18 +459,21 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
 
 
 # Each limited flag at its lower limit, one interior value and its upper limit,
-# as the library (and, for the kop grid's upper ends, the CLI's CAPS) defines
-# them, the other flags at their defaults; flags bounded only from below
-# (--points, --trials, --fd-nodes) at that bound and one value above it.
+# as the library (and, for the kop grid's upper ends, the CLI's CAPS, and for
+# --trials, MAX_GREENS_TRIALS) defines them, the other flags at their defaults;
+# --fd-nodes tops out where the twice finer grid reaches MAX_FD_CELLS at s = 1.
 # bvp1d --s also runs one past the finite-difference limit, to an error line.
 CAP_GRID = {
     "ellipticity": {"--s": (1, 3, MAX_CERTIFY_S), "--xi-min": (XI_RANGE[0], 1.0, XI_RANGE[1]),
-                    "--xi-max": (XI_RANGE[0], 1.0, XI_RANGE[1]), "--points": (1, 7)},
-    "greens": {"--s": (0, 1, MAX_GREENS_S), "--trials": (1, 3)},
+                    "--xi-max": (XI_RANGE[0], 1.0, XI_RANGE[1]),
+                    "--points": (1, 7, MAX_XI_SAMPLES)},
+    "greens": {"--s": (0, 1, MAX_GREENS_S), "--trials": (1, 3, MAX_GREENS_TRIALS)},
     "blowup": {"--s": BLOWUP_S, "--eps-min": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]),
-               "--eps-max": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]), "--points": (2, 5),
+               "--eps-max": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]),
+               "--points": (2, 5, MAX_BLOWUP_POINTS),
                "--delta": (BLOWUP_DELTA[0], 0.25, BLOWUP_DELTA[1])},
-    "bvp1d": {"--s": (1, MAX_FD_S, MAX_FD_S + 1), "--fd-nodes": (FD_CELLS_PER_S, 64)},
+    "bvp1d": {"--s": (1, MAX_FD_S, MAX_FD_S + 1),
+              "--fd-nodes": (FD_CELLS_PER_S, 64, MAX_FD_CELLS[1] // 2)},
     "kop": {"--radial-nodes": (MIN_RADIAL_NODES, 600, CAPS["radial_nodes"]),
             "--angular-nodes": (MIN_ANGULAR_NODES, 64, CAPS["angular_nodes"]),
             "--mode-max": (0, 32, 64), "--boundary-refine-depth": (1, 8, MAX_REFINE_DEPTH)},

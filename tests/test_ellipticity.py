@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dbarn.ellipticity import (
+    MAX_XI_SAMPLES,
     apply_symbol,
     certify_trivial_kernel,
     half_line_moment,
@@ -100,6 +101,8 @@ def test_certify_validation():
         certify_trivial_kernel(2, [0.0, 1.0])
     with pytest.raises(ValueError, match="empty"):
         certify_trivial_kernel(2, [])
+    with pytest.raises(ValueError, match="more than"):
+        certify_trivial_kernel(2, [1.0] * (MAX_XI_SAMPLES + 1))
     # outside the certified range: at 1e13 the raw determinant overflows
     for s, xi in ((6, 1e13), (2, 1e-7)):
         with pytest.raises(ValueError, match="range"):

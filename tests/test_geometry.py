@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,77 @@ def test_ws_norm_matches_the_grid_sum_oracle_on_the_criterion_13_family(geom_fin
     for field, s in ((k_psi, 1), (psi, 2)):
         oracle = ws_inner_frame(field, field, s).real
         assert abs(ws_inner_sampled(field, field, s).real - oracle) <= 1e-10 * oracle
+
+
+def criterion_13_field(geom, m):
+    return SampledField.from_polar(
+        geom, lambda r, t: plateau_bump((1 - r) / 0.9) * np.exp(1j * m * t))
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_sampled_calls_allocate_no_grid_sized_temporaries(geom_fine):
+    # once warm, a norm builds its terms in the grid's workspace and apply
+    # allocates the field it returns and nothing else the size of the grid
+    grid = geom_fine.n_r * geom_fine.n_theta * np.dtype(complex).itemsize
+    psi = criterion_13_field(geom_fine, 5)
+    for s in (0, 1, 2):
+        ws_norm_sampled(psi, s)
+        assert traced_peak(lambda: ws_norm_sampled(psi, s)) < 0.25 * grid
+    op = DiscKOperator(geom_fine)
+    op.apply(psi)
+    assert traced_peak(lambda: op.apply(psi)) < 1.25 * grid
+
+
+def test_the_workspace_grows_only_when_a_larger_s_asks(rng):
+    geom = DiscGeometry.build(600, 64, 4)
+    f = random_field(geom, rng)
+    geom.ws_weights()
+    for order in (1, 2):
+        geom.radial_derivative_blocks(order)
+    held = []
+    for s in (1, 0, 2, 1, 2):
+        tracemalloc.start()
+        ws_norm_sampled(f, s)
+        held.append(round(tracemalloc.get_traced_memory()[0] / f.values.nbytes))
+        tracemalloc.stop()
+    assert held == [2, 0, 1, 0, 0]
+
+
+def test_k_fields_share_no_memory_with_each_other_or_the_workspace(geom_fine):
+    op = DiscKOperator(geom_fine)
+    fields = [op.apply(criterion_13_field(geom_fine, m)) for m in (3, 4)]
+    for field in fields:
+        ws_norm_sampled(field, 2)
+    assert not np.shares_memory(fields[0].values, fields[1].values)
+    for field in fields:
+        assert not any(np.shares_memory(field.values, buffer)
+                       for buffer in geom_fine.ws_workspace(2))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_a_sum_between_two_others_changes_neither(geom_fine, rng, s):
+    # every call rewrites the one workspace; what it returns and the fields it
+    # read must not depend on what ran in between
+    op = DiscKOperator(geom_fine)
+    psi = criterion_13_field(geom_fine, 7)
+    k_psi = op.apply(psi)
+    kept = psi.values.copy(), k_psi.values.copy()
+    first = ws_norm_sampled(k_psi, s), ws_norm_sampled(psi, s)
+    other = random_field(geom_fine, rng)
+    for f, g in ((other, psi), (k_psi, other)):
+        scale = math.sqrt(ws_inner_frame(f, f, s).real * ws_inner_frame(g, g, s).real)
+        assert abs(ws_inner_sampled(f, g, s) - ws_inner_frame(f, g, s)) <= 1e-13 * scale
+    assert (ws_norm_sampled(k_psi, s), ws_norm_sampled(psi, s)) == first
+    assert np.array_equal(psi.values, kept[0]) and np.array_equal(k_psi.values, kept[1])
+    assert np.array_equal(op.apply(psi).values, kept[1])
 
 
 def test_theta_multipliers_are_shared_read_only(geom):

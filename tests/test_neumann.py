@@ -9,6 +9,7 @@ from dbarn import neumann, sobolev
 from dbarn.forms import CPolynomial, CRational, FormPoly, random_cpolynomial
 from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
 from dbarn.neumann import (
+    MAX_BLOWUP_POINTS,
     DiscreteComplex,
     _bareiss,
     _block_minors,
@@ -659,6 +660,8 @@ def test_blowup_validation():
     coarse = default_geometry(radial_nodes=64, angular_nodes=32, refine_depth=2)
     with pytest.raises(ValueError, match="resolve"):
         blowup_experiment(1, [2.0**-8], geom=coarse)
+    with pytest.raises(ValueError, match="more than"):
+        blowup_experiment(1, [0.125, 2.0**-8] * MAX_BLOWUP_POINTS)
     for eps_list in ([0.125] * 8, [2.0**-8], []):  # no slope to fit
         with pytest.raises(ValueError, match="two distinct"):
             blowup_experiment(1, eps_list)
