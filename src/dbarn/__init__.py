@@ -45,7 +45,6 @@ from .sobolev import (
     MonomialBasis,
     SobolevGram,
     assemble_gram,
-    inner_monomial_L2,
     inner_s_direct,
     inner_s_exact,
     inner_s_recursive,

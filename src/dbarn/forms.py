@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -361,7 +361,10 @@ class CPolynomial:
         den = self.den
         for (a, b), (re, im) in self.num.items():
             # the float of an int quotient is that of the reduced Fraction
-            term = np.full(zs.shape[1:], complex(re / den) + 1j * complex(im / den))
+            try:
+                term = np.full(zs.shape[1:], complex(re / den) + 1j * complex(im / den))
+            except OverflowError:
+                raise float_range_error(self) from None
             for k in range(self.n):
                 if a[k]:
                     term = term * zs[k] ** a[k]
@@ -369,6 +372,14 @@ class CPolynomial:
                     term = term * conj[k] ** b[k]
             out += term
         return out
+
+
+def float_range_error(p: CPolynomial) -> ValueError:
+    """The refusal of a polynomial whose floats, or float results computed from it,
+    overflow float64, naming the scale of its largest coefficient part."""
+    top = max(abs(x) for pair in p.num.values() for x in pair)
+    return ValueError(f"coefficients up to about 1e{log10(top) - log10(p.den):.0f} "
+                      "give results past the float64 range")
 
 
 def epsilon(k: int, J: IncreasingIndex, K: IncreasingIndex) -> int:
@@ -670,9 +681,9 @@ def form_from_text(text: str) -> FormPoly:
                 c = CRational(re_part, im_part)
                 if not c.is_zero():
                     terms[(a, b)] = terms.get((a, b), QC_ZERO) + c
-            poly = CPolynomial(n, {k: v for k, v in terms.items() if not v.is_zero()})
-            if not poly.is_zero():
-                comps[J] = poly
+            # a repeated component adds to the first, as a repeated term does
+            _accumulate(comps, J, CPolynomial(n, {k: v for k, v in terms.items()
+                                                  if not v.is_zero()}))
         else:
             raise ValueError(f"unknown node {node[0]!r}")
     if n is None or q is None:

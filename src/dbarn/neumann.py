@@ -27,8 +27,8 @@ Contents:
     vector through per-charge operators solved once per (d, s) and rounded
     once (``_operators``), its float certificates losing digits from d ~ 20,
   * exact operator-norm and positive-definiteness certificates on the same
-    charge blocks, the second read off the pivots of the first's eliminations,
-    all of them kept in one store per (d, s), the cached degree-d Gram,
+    charge blocks, both read off one fraction-free LU per block, which every
+    exact solve shares in one store per (d, s), the cached degree-d Gram,
   * the integration-by-parts (Green) identity connecting <dbar phi, psi>_s,
     <phi, theta psi>_s and the weighted boundary pairing, with every piece
     exact,
@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import mul
 
 import numpy as np
 
-from .forms import CPolynomial, CRational, FormPoly, QC_ZERO
+from .forms import CPolynomial, CRational, FormPoly, QC_ZERO, float_range_error
 from .geometry import (
     DiscGeometry,
     RadialFourierSum,
@@ -283,7 +283,8 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 # factor over charges into blocks of size <= (d+2)/2.  The routines below
 # certify positivity, bound the operator and solve exactly on those blocks,
 # read from the store of the (d, s), the cached degree-d ``SobolevGram``, which
-# keeps each form charge's ``_ChargeSetup`` with its one elimination (``_setup``):
+# keeps one factor per Gram block (``_factor``) and each form charge's
+# ``_ChargeSetup`` (``_setup``):
 #
 #   * in basis order the dbar block of a form charge kappa is A = [0 | D]:
 #     the function column h = z^(kappa-1) (present when kappa >= 1) is
@@ -292,12 +293,12 @@ def hodge_decompose(f, s: int | None = None, d: int | None = None,
 #     charge).  The dbar normal matrix M = A G_func^-1 A^T is then
 #     inverted in closed form by the block-inverse (Schur complement)
 #     identity, Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1;
-#   * every elimination that remains is fraction-free (Bareiss, Math. Comp.
-#     22, 1968): a block is an integer matrix over one denominator and is
-#     eliminated on Python ints, each step dividing exactly by the previous
-#     pivot; only its final quotients become Fractions.  The pivots are the
-#     leading principal minors, which by Sylvester's criterion are all
-#     positive exactly when the block is positive definite;
+#   * each Gram block, an integer matrix over one denominator, is factored
+#     once on Python ints, fraction-free (``_lu``: Bareiss, Math. Comp. 22,
+#     1968; Nakos, Turner and Williams, SIGSAM Bull. 31, 1997), and every
+#     exact solve is a substitution against a factor (``_substitute``).  The
+#     pivots are the leading principal minors, which by Sylvester's criterion
+#     are all positive exactly when the block is positive definite;
 #   * complex vectors are kept as integer real and imaginary parts over one
 #     denominator (``_Scaled``); a float64 is an exact dyadic rational, so the
 #     certificates of a rounded solution are exact too.
@@ -311,28 +312,50 @@ def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _bareiss(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of an integer block [A | B], in place.
-
-    A is the leading n x n part of the n rows.  No rows are exchanged, so the
-    pivots are the leading principal minors of A, which are returned.  On
-    return A is replaced by det(A) I and B by det(A) A^-1 B, all integers.
-    Raises ValueError at a zero minor, past which elimination without row
-    exchanges cannot go (a positive definite A has none).
-    """
-    minors = []
+def _lu(rows: list[list[int]]) -> list[list[int]]:
+    """The fraction-free LU of a square integer block: Bareiss forward elimination
+    without row exchanges, each step dividing exactly by the previous pivot.  Row k
+    holds the multipliers, then the pivot (the (k+1)-th leading principal minor),
+    then U.  The leading n x n part of the factor is that part's own factor.
+    Raises ValueError at a zero minor (a positive definite block has none)."""
+    lu = [row[:] for row in rows]
     prev = 1
-    for k, pivot_row in enumerate(rows):
+    for k, pivot_row in enumerate(lu):
         piv = pivot_row[k]
         if piv == 0:
             raise ValueError("exact system has a zero leading principal minor")
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        minors.append(piv)
+        tail = pivot_row[k + 1:]
+        for row in lu[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(piv * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = piv
-    return minors
+    return lu
+
+
+def _substitute(lu: list[list[int]], rhs: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(det(A) A^-1 rhs, det(A)) for the leading n x n part A of the block factored in
+    ``lu``, n = len(rhs), with one integer column per right-hand side.  Back
+    substitution divides exactly: det(A) A^-1 is the integer adjugate."""
+    n, x, det = len(rhs), [row[:] for row in rhs], 1
+    for k in range(n):  # forward: the elimination's steps, on rhs
+        for i in range(k + 1, n):
+            p, f = lu[k][k], lu[i][k]
+            x[i] = [(p * a - f * b) // det for a, b in zip(x[i], x[k])]
+        det = lu[k][k]
+    for k in reversed(range(n)):  # backward: p_k x_k = det c_k - sum_(j>k) U_kj x_j
+        acc = [det * a for a in x[k]]
+        for j in range(k + 1, n):
+            u = lu[k][j]
+            acc = [a - u * b for a, b in zip(acc, x[j])]
+        x[k] = [a // lu[k][k] for a in acc]
+    return x, det
+
+
+def _factor(gram: SobolevGram, charge: int) -> list[list[int]]:
+    """The ``_lu`` of the store's block of ``charge`` (|charge| <= d), built on first read."""
+    if charge not in gram.factors:
+        gram.factors[charge] = _lu(gram.block(charge)[0])
+    return gram.factors[charge]
 
 
 def _dot(x: list[int], y: list[int]) -> int:
@@ -352,15 +375,11 @@ class _Scaled:
     den: int
 
     @classmethod
-    def of(cls, pairs) -> "_Scaled":
-        """From (real, imaginary) pairs of Fractions, ints or floats (exact dyadics)."""
-        (re, im), den = _integer_rows([[Fraction(x) for x, _ in pairs],
-                                       [Fraction(y) for _, y in pairs]])
-        return cls(re, im, den)
-
-    @classmethod
     def of_complex(cls, values) -> "_Scaled":
-        return cls.of([(c.real, c.imag) for c in values])
+        """From complex float64s, each part an exact dyadic rational."""
+        (re, im), den = _integer_rows([[Fraction(c.real) for c in values],
+                                       [Fraction(c.imag) for c in values]])
+        return cls(re, im, den)
 
     def rounded(self) -> list[complex]:
         """The nearest complex float64 of each entry (an int quotient is correctly rounded)."""
@@ -393,14 +412,11 @@ class _Scaled:
         """x^H G x for the real symmetric G = rows / den."""
         return self.times(rows, den).conj_dot(self).re
 
-
-def _solve(rows: list[list[int]], rhs: _Scaled, scale: int) -> _Scaled:
-    """x with (rows / scale) x = rhs, for a positive definite integer block."""
-    n = len(rows)
-    work = [row + [a, b] for row, a, b in zip(rows, rhs.re, rhs.im)]
-    det = _bareiss(work)[-1]
-    return _Scaled([scale * row[n] for row in work], [scale * row[n + 1] for row in work],
-                   det * rhs.den)
+    def solved(self, lu: list[list[int]], scale: int) -> "_Scaled":
+        """x with (A / scale) x = self, for the leading part A of the block factored in
+        ``lu`` whose size is this vector's length."""
+        x, det = _substitute(lu, [[a, b] for a, b in zip(self.re, self.im)])
+        return _Scaled([scale * a for a, _ in x], [scale * b for _, b in x], det * self.den)
 
 
 @dataclass
@@ -409,7 +425,8 @@ class _ChargeSetup:
 
     The degree-d Gram block of charge kappa (``exps``, ``block`` / ``den``)
     has the form block (degree d - 1, its first ``nf`` exponents) as its
-    leading part, and is the function block of charge kappa + 1.
+    leading part, and is the function block of charge kappa + 1, so both are
+    solved against the store's factors of blocks kappa and kappa - 1.
     """
 
     exps: list[tuple[int, int]]
@@ -422,10 +439,11 @@ class _ChargeSetup:
     func_den: int
     hol: int                      # 1 when the first function column z^(kappa-1) is holomorphic
     weights: list[int]            # b of the other function columns, D = diag(b)
+    normal: tuple[list[list[int]], int, int] | None = None  # ``_normal_solution``
 
     def normal_inverse(self) -> tuple[list[list[int]], int]:
         """Y = M^-1 = D^-1 (G_SS - G_Sh G_hS / G_hh) D^-1 as integer rows over their lcm,
-        on each call: the store keeps only its elimination, about ten times its cost.
+        on each call: the store keeps only W = G_form^-1 Y, about ten times its cost.
 
         With G_func = func / den the Schur complement is (p G_SS - G_Sh G_hS) / (den p),
         p = func[0][0]; D^-1 . D^-1 multiplies entry (i, j) by c_i c_j / lcm(b)^2
@@ -442,17 +460,6 @@ class _ChargeSetup:
         den *= lb * lb
         g = math.gcd(den, *(x for row in y for x in row))
         return [[x // g for x in row] for row in y], den // g
-
-    @cached_property
-    def form_elimination(self) -> tuple[list[list[int]], list[int], int]:
-        """[G_form | Y | G[form rows, degree d]] after Bareiss, without its det I part;
-        its pivots, the leading principal minors of ``form``; and y_den.  With
-        Y = y / y_den and det = det(form) the rows read
-        [det form^-1 y | det form^-1 block[:, nf:]]."""
-        y, y_den = self.normal_inverse()
-        work = [g + yr + br[self.nf:] for g, yr, br in zip(self.form, y, self.block)]
-        minors = _bareiss(work)
-        return [row[self.nf:] for row in work], minors, y_den
 
     def least_norm(self, f: _Scaled) -> _Scaled:
         """The canonical solution of A v = f, v_S = D^-1 f and v_h = -(G_hS v_S) / G_hh."""
@@ -482,34 +489,44 @@ def _setup(gram: SobolevGram, charge: int) -> _ChargeSetup:
     return gram.setups[charge]
 
 
+def _normal_solution(gram: SobolevGram, charge: int) -> tuple[list[list[int]], int, int]:
+    """(w, det, y_den) with G_form^-1 Y = den w / (det y_den), Y = y / y_den: w is
+    det(form) form^-1 y, substituted on the first read and kept in the set-up."""
+    cs = _setup(gram, charge)
+    if cs.normal is None:
+        y, y_den = cs.normal_inverse()
+        cs.normal = (*_substitute(_factor(gram, charge), y), y_den)
+    return cs.normal
+
+
 def _operators(cx: DiscreteComplex) -> tuple:
     """CSR (N, P, A*) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form), kept on
-    the degree-d Gram from the first call.  Per form charge, the store's elimination of
-    [G_form | Y | G[form rows, degree d]] and a transient one of [G_func | A^T G_form],
-    rounded once, correctly."""
+    the degree-d Gram from the first call.  Per form charge, N is the store's W, and
+    P and A* are substitutions against the factors of blocks kappa and kappa - 1,
+    every entry rounded once, correctly."""
     if cx.gram.operators is None:
         import scipy.sparse  # on first use, like the float Cholesky
         coo = ([], [], [])  # (row, column, value) entries of N, P and A*
 
-        def put(op, rows, cols, work, start, scale, den):
-            coo[op].extend((i, j, scale * x / den) for i, row in zip(rows, work)
-                           for j, x in zip(cols, row[start:]))
+        def put(op, rows, cols, x, scale, den):
+            coo[op].extend((i, j, scale * v / den) for i, row in zip(rows, x)
+                           for j, v in zip(cols, row))
 
-        d = cx.basis.degree
+        d, gram = cx.basis.degree, cx.gram
         for charge in range(1 - d, d):
-            cs = _setup(cx.gram, charge)
+            cs = _setup(gram, charge)
             nf = cs.nf
             form = [cx.form_basis.index_of(*e) for e in cs.exps[:nf]]
             cols = [cx.basis.index_of(*e) for e in cs.exps]
-            work, (*_, det), y_den = cs.form_elimination
-            put(0, form, form, work, 0, cs.den, det * y_den)
+            w, det, y_den = _normal_solution(gram, charge)
+            put(0, form, form, w, cs.den, det * y_den)
             coo[1].extend((i, j, 1.0) for i, j in zip(form, cols))
-            put(1, form, cols[nf:], work, nf, cs.den, det * cs.den)
-            work = [g + r for g, r in zip(cs.func, [[0] * nf] * cs.hol + [
-                [b * x for x in row] for b, row in zip(cs.weights, cs.form)])]
-            det = _bareiss(work)[-1]
-            put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, work, len(work),
-                cs.func_den, det * cs.den)
+            x, det = _substitute(_factor(gram, charge), [row[nf:] for row in cs.block[:nf]])
+            put(1, form, cols[nf:], x, cs.den, det * cs.den)
+            x, det = _substitute(_factor(gram, charge - 1), [[0] * nf] * cs.hol + [
+                [b * v for v in row] for b, row in zip(cs.weights, cs.form)])
+            put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, x, cs.func_den,
+                det * cs.den)
         nf, nu = cx.form_basis.dim, cx.basis.dim
         shapes = [(nf, nf), (nf, nu), (nu, nf)]
         cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
@@ -517,31 +534,15 @@ def _operators(cx: DiscreteComplex) -> tuple:
     return cx.gram.operators
 
 
-def _block_minors(cs: _ChargeSetup) -> list[int]:
-    """The leading principal minors of the degree-d block of the charge, as integer
-    rows (den^k times G's), read off ``form_elimination`` (ValueError at a zero pivot).
-
-    The pivots are the minors of form = block[:nf, :nf].  A last row [b^T, c] adds
-    det(block) = det(form) (c - b^T form^-1 b) (Schur complement): one dot product
-    with the elimination's last column, det(form) form^-1 b.
-    """
-    work, minors, _ = cs.form_elimination
-    if len(cs.block) == cs.nf:
-        return minors
-    last = cs.block[-1]
-    return minors + [minors[-1] * last[-1] - _dot(last, [row[-1] for row in work])]
-
-
 def verify_gram_positive_definite_exact(d: int, s: int) -> bool:
     """Certify positive definiteness of the degree-d W^s Gram, exactly, by Sylvester's
-    criterion per charge block: the 1 x 1 blocks of charge +-d by their sign, every
-    other one from its set-up's pivots (``_block_minors``), with no elimination."""
+    criterion per charge block: the pivots of each block's factor (``_factor``) are its
+    leading principal minors, times positive powers of its denominator."""
     _check_size(d, s)
     gram = cached_gram(d, s)
     try:
-        return (all(gram.block(charge)[0][0][0] > 0 for charge in (-d, d))
-                and all(m > 0 for charge in range(1 - d, d)
-                        for m in _block_minors(_setup(gram, charge))))
+        return all(row[k] > 0 for charge in range(-d, d + 1)
+                   for k, row in enumerate(_factor(gram, charge)))
     except ValueError:  # a zero leading minor
         return False
 
@@ -552,9 +553,9 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
     For a form basis vector e_k in charge block kappa, the solve reads
     y = M^-1 e_k with M = A G_func^-1 A^T, and |N_s e_k|_s^2 = y^T G_form^-1 y;
     both Grams and the integer dbar block A live on single charges.  M^-1 is the
-    closed-form Y of ``_ChargeSetup.normal_inverse``, so the only elimination left
-    is G_form W = Y, the one ``_operators`` builds N from (``form_elimination``),
-    and |N_s e_k|_s^2 = (Y^T W)_kk.
+    closed-form Y of ``_ChargeSetup.normal_inverse``, so the only solve left is
+    G_form W = Y, the one ``_operators`` builds N from (``_normal_solution``), and
+    |N_s e_k|_s^2 = (Y^T W)_kk.
     """
     _check_size(d, s)
     gram = cached_gram(d, s)
@@ -562,7 +563,7 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
     for charge in range(1 - d, d):
         cs = _setup(gram, charge)
         y, y_den = cs.normal_inverse()
-        rows, (*_, det), _ = cs.form_elimination
+        rows, det, _ = _normal_solution(gram, charge)
         # rows[t][k] = det (form^-1 y)[t][k], with G_form = form / den and
         # Y = y / y_den: (Y^T W)_kk / G_form[k][k]
         #   = den^2 (y^T form^-1 y)_kk / (y_den^2 form[k][k])
@@ -578,6 +579,18 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
 # touches only.  The solution is rounded to float64 and every certificate is
 # then computed exactly on the rounded coefficients, so a certificate
 # measures the printed answer, not the arithmetic that produced it.
+
+
+def _in_float_range(exact_solve):
+    """``exact_solve`` of a form f, refusing a rounded coefficient or norm past the
+    float64 range by the ValueError that names the scale of f's coefficients."""
+    @wraps(exact_solve)
+    def solve(f, *args, **kwargs):
+        try:
+            return exact_solve(f, *args, **kwargs)
+        except OverflowError:
+            raise float_range_error(f.component((1,)) if isinstance(f, FormPoly) else f) from None
+    return solve
 
 
 def _charges_of(f, max_degree: int) -> tuple[dict[int, dict[tuple[int, int], tuple[int, int]]],
@@ -620,6 +633,7 @@ def _place(out: np.ndarray, basis: MonomialBasis, exps: list[tuple[int, int]],
         out[basis.index_of(*e)] = c
 
 
+@_in_float_range
 def _canonical_exact(f, d: int, s: int) -> LeastNormSolution:
     """``canonical_solve_dbar`` for a form: the closed form in exact arithmetic.
 
@@ -651,12 +665,13 @@ def _canonical_exact(f, d: int, s: int) -> LeastNormSolution:
         kernel_orthogonality=math.sqrt(kernel / u2) if u2 else 0.0)
 
 
+@_in_float_range
 def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
-    """``neumann_solve`` for a form: per charge, G_form u = Y f by one fraction-free
-    solve with two right-hand sides (the real and imaginary parts).
+    """``neumann_solve`` for a form: per charge kappa, G_form u = Y f by substitution
+    against block kappa's factor, for the real and imaginary parts.
 
-    The check is independent of the closed-form Y: w = A* u comes from a
-    second exact solve, G_func w = A^T G_form u, on the rounded u, and the
+    The check is independent of the closed-form Y: w = A* u comes from a second
+    exact solve, G_func w = A^T G_form u (block kappa - 1), on the rounded u, and the
     residual |A w - f|_s / |f|_s and the match |w - v|_s with the exact
     canonical solution v are exact on it.
     """
@@ -669,12 +684,13 @@ def _neumann_exact(f, d: int, s: int) -> NeumannSolution:
         cs = _setup(gram, charge)
         form_exps = cs.exps[:cs.nf]
         fs = _coefficients(terms[charge], f_den, form_exps)
-        u = _solve(cs.form, fs.times(*cs.normal_inverse()), cs.den).rounded()
+        u = fs.times(*cs.normal_inverse()).solved(_factor(gram, charge), cs.den).rounded()
         _place(coeffs, form_basis, form_exps, u)
         ut = _Scaled.of_complex(u)
         b_gu = ut.times(cs.form, cs.den).weighted(cs.weights)
         pad = [0] * cs.hol  # A^T G_form u is zero on the holomorphic column
-        w = _solve(cs.func, _Scaled(pad + b_gu.re, pad + b_gu.im, b_gu.den), cs.func_den)
+        w = _Scaled(pad + b_gu.re, pad + b_gu.im, b_gu.den).solved(_factor(gram, charge - 1),
+                                                                  cs.func_den)
         f2 += fs.norm2(cs.form, cs.den)
         r2 += w.tail(cs.hol).weighted(cs.weights).minus(fs).norm2(cs.form, cs.den)
         u2 += ut.norm2(cs.form, cs.den)
@@ -695,11 +711,13 @@ class HodgeSplit:
     orthogonality_defect: float  # |<f1, f2>_s| / (|f1|_s |f1 + f2|_s)
 
 
+@_in_float_range
 def hodge_split(f, s: int | None = None, d: int | None = None,
                 cx: DiscreteComplex | None = None) -> HodgeSplit:
-    """The Hodge split of a form, exact, with its certificate: per charge,
-    G_form c = (G f)_form by one fraction-free solve; the range part f1 is c
-    rounded, the remainder f2 is f minus it, rounded.  The norms and
+    """The Hodge split of a form, exact, with its certificate: per charge, G_form c =
+    (G f)_form by substitution against the factor of the charge's block, whose
+    leading part G_form is; the range part f1 is c rounded, the remainder f2 is
+    f minus it, rounded.  The norms and
     <f1, f2>_s are exact on f1 and f2, on the block the solve reads (1 x 1 at
     charge +-d, where f1 is zero).  The defect divides by |f1 + f2|_s, not
     |f2|_s: the remainder can be 1e-8 of f at the top degree, and against it
@@ -719,8 +737,7 @@ def hodge_split(f, s: int | None = None, d: int | None = None,
         nf = len(charge_exponents(charge, d - 1))
         c = [0j] * len(exps)
         if nf:  # project onto the form block, the leading nf x nf part
-            c[:nf] = _solve([row[:nf] for row in block[:nf]], fs.times(block[:nf], den),
-                            den).rounded()
+            c[:nf] = fs.times(block[:nf], den).solved(_factor(gram, charge), den).rounded()
         p1 = _Scaled.of_complex(c)
         r = fs.minus(p1).rounded()
         p2 = _Scaled.of_complex(r)

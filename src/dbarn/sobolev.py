@@ -84,15 +84,6 @@ class MonomialBasis:
         return out
 
 
-def inner_monomial_L2(a: int, b: int, c: int, d: int) -> Fraction:
-    """Exact disc integral of z^a zbar^b conj(z^c zbar^d), as a multiple of pi."""
-    if min(a, b, c, d) < 0:
-        raise ValueError("exponents must be non-negative")
-    if a + d != b + c:
-        return Fraction(0)
-    return Fraction(2, a + b + c + d + 2)
-
-
 def _add_pairing(sums: dict[int, list[int]], p: CPolynomial, q: CPolynomial,
                  weight: int) -> None:
     """Adds weight * <p, q>_{L2(disc)} / pi to sums (n = 1 only).
@@ -128,13 +119,6 @@ def _collect(sums: dict[int, list[int]]) -> CRational:
     re = 2 * sum(top // k * acc[0] for k, acc in sums.items())
     im = 2 * sum(top // k * acc[1] for k, acc in sums.items())
     return CRational(Fraction(re, top), Fraction(im, top))
-
-
-def pair_L2_exact(p: CPolynomial, q: CPolynomial) -> CRational:
-    """Exact <p, q>_{L2(disc)} as a CRational multiple of pi (n = 1 only)."""
-    sums: dict[int, list[int]] = {}
-    _add_pairing(sums, p, q, 1)
-    return _collect(sums)
 
 
 def inner_s_exact(f: CPolynomial, g: CPolynomial, s: int) -> CRational:
@@ -187,8 +171,9 @@ def real_matvec(mat, u: np.ndarray) -> np.ndarray:
 class SobolevGram:
     """The W^s Gram of one (degree, s), and the store of its exact charge blocks.
 
-    ``block(charge)``, ``neumann``'s per-charge ``setups`` and the dense float64
-    ``matrix`` are each built on first read and kept until the Gram cache drops
+    ``block(charge)``, ``neumann``'s fraction-free LU ``factors`` of the blocks (every
+    exact solve substitutes against them) and its per-charge ``setups``, and the dense
+    float64 ``matrix`` are each built on first read and kept until the Gram cache drops
     the object, so an exact computation never allocates the matrix.
     ``operators`` are the float solve operators, kept by ``neumann``.
     """
@@ -198,6 +183,7 @@ class SobolevGram:
         if matrix is not None:
             self.matrix = matrix
         self._blocks: dict[int, tuple[list[list[int]], int]] = {}
+        self.factors: dict = {}  # charge -> neumann's fraction-free LU of block(charge)
         self.setups: dict = {}  # form charge -> neumann's exact set-up
         self.operators: tuple | None = None
 

@@ -17,6 +17,8 @@ The Galerkin solutions are recomputed per charge block in exact Fractions
 from the textbook normal equations, with no use of the closed forms the
 library solves by, and the Gram's positive definiteness is certified by a
 standalone elimination of every block, with no use of the library's store.
+That elimination is a fraction-free Gauss-Jordan one, the reference the
+library's LU factor and substitution are checked against.
 
 The sampled W^s inner product is recomputed on the grid, from derivative
 fields in the orthonormal polar frame, with no use of the angular Fourier
@@ -36,7 +38,6 @@ import numpy as np
 from dbarn.bvp import DiscKOperator
 from dbarn.forms import QC_I, QC_ZERO, BiExponent, CPolynomial, CRational, FormPoly
 from dbarn.geometry import SampledField, normal_derivative
-from dbarn.neumann import _bareiss
 from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block_rows
 
 FullTensor = dict[tuple[int, ...], CPolynomial]
@@ -212,6 +213,15 @@ def terms_laplacian(p: Terms, n: int) -> Terms:
     return out
 
 
+def inner_monomial_L2(a: int, b: int, c: int, d: int) -> Fraction:
+    """Exact disc integral of z^a zbar^b conj(z^c zbar^d), as a multiple of pi."""
+    if min(a, b, c, d) < 0:
+        raise ValueError("exponents must be non-negative")
+    if a + d != b + c:
+        return Fraction(0)
+    return Fraction(2, a + b + c + d + 2)
+
+
 def pair_L2_terms(p: Terms, q: Terms) -> CRational:
     """<p, q>_{L2(disc)} / pi in one variable: z^a zbar^b against z^c zbar^d
     integrates to 2 / (a+b+c+d+2) when a + d == b + c, else to 0."""
@@ -233,11 +243,36 @@ def gram_block(exps: list[tuple[int, int]], s: int) -> list[list[Fraction]]:
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
+def bareiss_gauss_jordan(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of an integer block [A | B], in place:
+    the reference elimination the library's LU and substitution are checked against.
+
+    A is the leading n x n part of the n rows.  No rows are exchanged, so the
+    pivots are the leading principal minors of A, which are returned.  On
+    return A is replaced by det(A) I and B by det(A) A^-1 B, all integers.
+    Raises ValueError at a zero minor, past which elimination without row
+    exchanges cannot go.
+    """
+    minors = []
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        piv = pivot_row[k]
+        if piv == 0:
+            raise ValueError("exact system has a zero leading principal minor")
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        minors.append(piv)
+        prev = piv
+    return minors
+
+
 def positive_definite_exact(rows: list[list[int]]) -> bool:
     """Sylvester's criterion on integer rows (any positive multiple of the
     matrix), by a standalone elimination: every leading principal minor is positive."""
     try:
-        return all(m > 0 for m in _bareiss([row[:] for row in rows]))
+        return all(m > 0 for m in bareiss_gauss_jordan([row[:] for row in rows]))
     except ValueError:  # a zero minor
         return False
 

@@ -101,6 +101,22 @@ def test_neumann_and_hodge_subcommands(tmp_path, form_file):
     assert main(["hodge", "--s", "1", "--d", "10", "--f", str(form_file)]) == 0
 
 
+@pytest.mark.parametrize("command", ["canonical", "neumann", "hodge"])
+def test_a_split_component_gives_the_merged_record(tmp_path, command):
+    split = tmp_path / "split.form"
+    split.write_text("(form (n 1) (q 1)\n  (comp (1) (term 1 0 (z 1) (zbar 0)))\n"
+                     "  (comp (1) (term 0 -1/4 (z 0) (zbar 2))))\n")
+    merged = tmp_path / "merged.form"
+    merged.write_text("(form (n 1) (q 1)\n  (comp (1) (term 1 0 (z 1) (zbar 0))"
+                      " (term 0 -1/4 (z 0) (zbar 2))))\n")
+    records = []
+    for path in (split, merged):
+        out = tmp_path / f"{path.stem}.json"
+        assert main([command, "--s", "1", "--d", "8", "--f", str(path), "--out", str(out)]) == 0
+        records.append(json.loads(out.read_text()))
+    assert records[0] == records[1] and records[0]["pass"] is True
+
+
 @pytest.mark.parametrize("s", [0, 1, 2])
 @pytest.mark.parametrize("d", [1, 20, 40])
 def test_canonical_passes_across_the_degree_cap(tmp_path, s, d):
@@ -383,6 +399,20 @@ def test_kop_honours_radial_nodes(tmp_path):
 
 
 TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
+# a coefficient whose exact results, or whose float, leave the float64 range
+HUGE_FORMS = {f"f{c}.form": f"(form (n 1) (q 1) (comp (1) (term {c} 0 (z 1) (zbar 0))))"
+              for c in ("1e200", "1e400")}
+
+
+def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
+    # the canonical solution of 1e200 z dzbar stays in the float64 range: no refusal
+    (tmp_path / "f.form").write_text(HUGE_FORMS["f1e200.form"])
+    out = tmp_path / "canonical.json"
+    assert main(["canonical", "--s", "1", "--d", "12", "--f", str(tmp_path / "f.form"),
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is True
+    assert max(abs(row["re"]) for row in payload["solution"]) == 1e200
 
 
 @pytest.mark.parametrize("argv,files", [
@@ -410,6 +440,18 @@ TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
                  id="truncated-form-canonical"),
     pytest.param(["kop", "--input", "{tmp}/cut.form"], {"cut.form": TRUNCATED_FORM},
                  id="truncated-form-kop"),
+    pytest.param(["neumann", "--s", "1", "--d", "12", "--f", "{tmp}/f1e200.form"], HUGE_FORMS,
+                 id="neumann-coefficient-1e200"),
+    pytest.param(["hodge", "--s", "1", "--d", "12", "--f", "{tmp}/f1e200.form"], HUGE_FORMS,
+                 id="hodge-coefficient-1e200"),
+    pytest.param(["canonical", "--s", "1", "--d", "12", "--f", "{tmp}/f1e400.form"], HUGE_FORMS,
+                 id="canonical-coefficient-1e400"),
+    pytest.param(["neumann", "--s", "1", "--d", "12", "--f", "{tmp}/f1e400.form"], HUGE_FORMS,
+                 id="neumann-coefficient-1e400"),
+    pytest.param(["hodge", "--s", "1", "--d", "12", "--f", "{tmp}/f1e400.form"], HUGE_FORMS,
+                 id="hodge-coefficient-1e400"),
+    pytest.param(["kop", "--input", "{tmp}/f1e400.form"], HUGE_FORMS,
+                 id="kop-coefficient-1e400"),
     pytest.param(["--config", "{tmp}/missing.cfg", "identities"], {}, id="missing-config-file"),
     pytest.param(["--config", "{tmp}/run.cfg", "ellipticity"], {"run.cfg": "points = abc\n"},
                  id="config-value-not-int"),

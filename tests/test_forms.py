@@ -21,7 +21,7 @@ from dbarn.forms import (
     wedge_d1,
 )
 
-from dbarn.sobolev import pair_L2_exact
+from dbarn.sobolev import inner_s_exact
 
 from oracles import (
     contract_full,
@@ -143,9 +143,9 @@ def test_integer_coefficients_match_the_fraction_oracle(n):
             assert agrees(p.diff_real(j), terms_diff_real(tp, n, j))
         assert agrees(laplacian(p), terms_laplacian(tp, n))
         if n == 1:
-            assert pair_L2_exact(p, q) == pair_L2_terms(tp, tq)
+            assert inner_s_exact(p, q, 0) == pair_L2_terms(tp, tq)
             dp = terms_diff_real(tp, 1, 2)
-            assert pair_L2_exact(p.diff_real(2), p * q) == pair_L2_terms(dp, terms_mul(tp, tq))
+            assert inner_s_exact(p.diff_real(2), p * q, 0) == pair_L2_terms(dp, terms_mul(tp, tq))
 
 
 def test_wirtinger_derivatives():
@@ -387,6 +387,21 @@ def test_form_text_explicit():
     assert phi.n == 2 and phi.q == 1
     assert phi.component((2,)).terms == {
         ((1, 0), (0, 2)): CRational.of(Fraction(1, 2), -3)}
+
+
+def test_form_text_sums_repeated_components():
+    # a second (comp (1) ...) adds to the first, as a repeated term does
+    split = form_from_text("""
+    (form (n 1) (q 1)
+      (comp (1) (term 1 0 (z 1) (zbar 0)) (term 1/2 0 (z 0) (zbar 0)))
+      (comp (1) (term 0 2 (z 1) (zbar 0)) (term -1/2 0 (z 0) (zbar 0))))
+    """)
+    merged = form_from_text("(form (n 1) (q 1) (comp (1) (term 1 2 (z 1) (zbar 0))))")
+    assert split == merged
+    cancelled = form_from_text("""
+    (form (n 1) (q 1) (comp (1) (term 3 0 (z 0) (zbar 1))) (comp (1) (term -3 0 (z 0) (zbar 1))))
+    """)
+    assert cancelled.is_zero()
 
 
 def test_form_text_rejects_garbage():

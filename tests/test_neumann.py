@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,11 +10,14 @@ from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
 from dbarn.neumann import (
     MAX_BLOWUP_POINTS,
     DiscreteComplex,
-    _bareiss,
-    _block_minors,
+    _factor,
     _integer_rows,
     _kernel_cosine,
+    _lu,
+    _normal_solution,
+    _Scaled,
     _setup,
+    _substitute,
     adjoint,
     blowup_experiment,
     canonical_solve_dbar,
@@ -30,6 +32,7 @@ from dbarn.neumann import (
 )
 from dbarn.sobolev import MonomialBasis, SobolevGram, cached_gram, charge_exponents
 from oracles import (
+    bareiss_gauss_jordan,
     exact_adjoint,
     exact_galerkin_solutions,
     exact_hodge_certificate,
@@ -292,70 +295,122 @@ def cauchy_minor(bs: list[int], charge: int) -> Fraction:
 
 @pytest.mark.parametrize("d", [12, 20])
 def test_store_minors_are_the_cauchy_determinants(d):
-    # the block rows are den G, so the k-th minor is den^k times G's, both the pivots
-    # of the form block and the Schur-complement minor of a block with one row more
+    # the block rows are den G, so the k-th pivot of a block's factor is den^k times
+    # G's k-th leading minor, on every block, the 1 x 1 blocks of charge +-d included
     gram = cached_gram(d, 0)
-    for charge in range(1 - d, d):
-        cs = _setup(gram, charge)
-        bs = [b for _, b in cs.exps]
-        minors = _block_minors(cs)
+    for charge in range(-d, d + 1):
+        bs = [b for _, b in charge_exponents(charge, d)]
+        minors = [row[k] for k, row in enumerate(_factor(gram, charge))]
         assert len(minors) == len(bs)
         for k, m in enumerate(minors, start=1):
-            assert Fraction(m, cs.den**k) == cauchy_minor(bs[:k], charge), (charge, k)
-    for charge, b in ((-d, d), (d, 0)):  # the 1 x 1 blocks
-        (x,), = gram.block(charge)[0]
-        assert Fraction(x, gram.block(charge)[1]) == cauchy_minor([b], charge)
+            assert Fraction(m, gram.block(charge)[1]**k) == cauchy_minor(bs[:k], charge), \
+                (charge, k)
 
 
 def test_a_block_made_indefinite_fails_the_pivot_reader(cold_store):
     # charge 2 at degree 12: a 6 x 6 block past its 5 x 5 form block
     gram = cached_gram(12, 1)
-    cs = _setup(gram, 2)
-    assert (len(cs.block), cs.nf) == (6, 5) and verify_gram_positive_definite_exact(12, 1)
-    corner = [row[:] for row in cs.block]
-    corner[-1][-1] = 0  # the Schur complement -b^T F^-1 b is negative
-    form = [row[:] for row in cs.form]
-    form[1][1] = 0  # the second pivot is -form[0][1]^2
-    singular = [row[:] for row in cs.form]
+    block, den = gram.block(2)
+    assert (len(block), _setup(gram, 2).nf) == (6, 5)
+    assert verify_gram_positive_definite_exact(12, 1)
+    corner = [row[:] for row in block]
+    corner[-1][-1] = 0  # the last pivot, det(form) times -b^T F^-1 b, is negative
+    form = [row[:] for row in block]
+    form[1][1] = 0  # the second pivot is -block[0][1]^2
+    singular = [row[:] for row in block]
     singular[0][0] = 0  # a zero first pivot stops the elimination
-    for broken in (dict(block=corner), dict(form=form), dict(form=singular)):
-        gram.setups[2] = dataclasses.replace(cs, **broken)
+    for broken in (corner, form, singular):
+        gram._blocks[2] = (broken, den)
+        del gram.factors[2]
         assert not verify_gram_positive_definite_exact(12, 1), broken
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
+def factor_calls(monkeypatch):
+    """The rows of every block ``_lu`` factors, in call order."""
     calls = []
 
     def counted(rows):
-        calls.append(len(rows))
-        return _bareiss(rows)
+        calls.append(rows)
+        return _lu(rows)
 
-    monkeypatch.setattr(neumann, "_bareiss", counted)
+    monkeypatch.setattr(neumann, "_lu", counted)
     return calls
 
 
-def test_a_repeated_certificate_runs_no_elimination(cold_store, bareiss_calls):
+@pytest.fixture
+def substitute_calls(monkeypatch):
+    """The number of right-hand-side rows of every ``_substitute``, in call order."""
+    calls = []
+
+    def counted(lu, rhs):
+        calls.append(len(rhs))
+        return _substitute(lu, rhs)
+
+    monkeypatch.setattr(neumann, "_substitute", counted)
+    return calls
+
+
+def test_a_repeated_certificate_runs_no_elimination(cold_store, factor_calls):
     proxy = neumann_operator_norm_proxy_exact(20, 0)
-    assert len(bareiss_calls) == 39  # one per form charge
-    assert verify_gram_positive_definite_exact(20, 0)  # reads the proxy's pivots
+    assert len(factor_calls) == 39  # one per form charge
+    assert verify_gram_positive_definite_exact(20, 0)  # reads the proxy's factors
+    assert len(factor_calls) == 41  # and the 1 x 1 blocks of charge +-20
     assert neumann_operator_norm_proxy_exact(20, 0) == proxy
-    assert len(bareiss_calls) == 39
+    assert len(factor_calls) == 41
     assert verify_gram_positive_definite_exact(10, 2)
-    assert len(bareiss_calls) == 39 + 19
+    assert len(factor_calls) == 41 + 21
     neumann_operator_norm_proxy_exact(10, 2)
     assert verify_gram_positive_definite_exact(10, 2)
-    assert len(bareiss_calls) == 39 + 19
+    assert len(factor_calls) == 41 + 21
 
 
-def test_clearing_the_gram_cache_drops_the_store(cold_store, bareiss_calls):
+def test_clearing_the_gram_cache_drops_the_store(cold_store, factor_calls):
     neumann_operator_norm_proxy_exact(10, 1)
     store = sobolev._GRAM_CACHE[(10, 1)]
-    assert sorted(store.setups) == list(range(-9, 10))
+    assert sorted(store.setups) == sorted(store.factors) == list(range(-9, 10))
     sobolev._GRAM_CACHE.clear()
     assert cached_gram(10, 1) is not store
     neumann_operator_norm_proxy_exact(10, 1)
-    assert len(bareiss_calls) == 2 * 19
+    assert len(factor_calls) == 2 * 19
+
+
+def test_each_block_is_factored_at_most_once(cold_store, factor_calls, rng):
+    phi = FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 5)})
+    cx = DiscreteComplex.build(12, 1)
+    for _ in range(2):
+        neumann_solve(phi, cx=cx)
+        hodge_split(phi, cx=cx)
+        neumann_operator_norm_proxy_exact(12, 1)
+        verify_gram_positive_definite_exact(12, 1)
+        neumann_solve(np.ones(cx.form_basis.dim), cx=cx)  # the float operators
+    blocks = [cx.gram.block(charge)[0] for charge in range(-12, 13)]
+    assert sorted(map(id, factor_calls)) == sorted(map(id, blocks))
+
+
+def test_a_repeated_exact_solve_runs_no_factorization(cold_store, factor_calls):
+    z_dzbar = FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)})
+    first = neumann_solve(z_dzbar, s=2, d=40)
+    assert len(factor_calls) == 2  # the blocks of charges 1 and 0
+    assert np.array_equal(neumann_solve(z_dzbar, s=2, d=40).coeffs, first.coeffs)
+    assert len(factor_calls) == 2
+    split = hodge_split(z_dzbar, s=2, d=40)
+    assert len(factor_calls) == 2  # charge 1's factor again
+    phi = FormPoly(1, 1, {(1,): CPolynomial.monomial(1, (3,), (1,))})  # charge 2
+    hodge_split(phi, s=2, d=40)
+    assert len(factor_calls) == 3
+    assert np.array_equal(hodge_split(z_dzbar, s=2, d=40).range_part, split.range_part)
+    hodge_split(phi, s=2, d=40)
+    assert len(factor_calls) == 3
+
+
+def test_a_cold_certificate_runs_no_substitution(cold_store, substitute_calls):
+    assert verify_gram_positive_definite_exact(20, 2)
+    assert substitute_calls == []
+    neumann_operator_norm_proxy_exact(20, 2)
+    assert len(substitute_calls) == 39  # one W per form charge
+    neumann_operator_norm_proxy_exact(20, 2)
+    assert len(substitute_calls) == 39
 
 
 def test_exact_entry_points_build_no_dense_matrix(cold_store, rng):
@@ -374,7 +429,7 @@ def test_a_one_charge_form_builds_only_its_charges(cold_store):
     neumann_solve(FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}), s=2, d=40)
     store = sobolev._GRAM_CACHE[(40, 2)]
     assert list(store.setups) == [1]
-    assert sorted(store._blocks) == [0, 1]
+    assert sorted(store._blocks) == sorted(store.factors) == [0, 1]
 
 
 # -- the exact backend against Fraction Gauss-Jordan ------------------------------------
@@ -413,6 +468,25 @@ def test_proxy_equals_three_solve_reference(s):
         assert neumann_operator_norm_proxy_exact(d, s) == three_solve_proxy_exact(d, s)
 
 
+@pytest.mark.parametrize("d,s", [(5, 0), (12, 1), (20, 2)])
+def test_store_substitutions_match_the_gauss_jordan_oracle(d, s, cold_store):
+    # W = det G_form^-1 Y and the Neumann u = G_form^-1 Y f, integer for integer
+    gram = cached_gram(d, s)
+    for charge in range(1 - d, d):
+        cs = _setup(gram, charge)
+        y, y_den = cs.normal_inverse()
+        work = [g + r for g, r in zip(cs.form, y)]
+        det = bareiss_gauss_jordan(work)[-1]
+        assert _normal_solution(gram, charge) == ([row[cs.nf:] for row in work], det, y_den)
+        f = _Scaled(list(range(1, cs.nf + 1)), [(-1) ** k for k in range(cs.nf)], 3)
+        rhs = f.times(y, y_den)
+        work = [g + [a, b] for g, a, b in zip(cs.form, rhs.re, rhs.im)]
+        det = bareiss_gauss_jordan(work)[-1]
+        u = rhs.solved(_factor(gram, charge), cs.den)
+        assert (u.re, u.im, u.den) == ([cs.den * row[-2] for row in work],
+                                       [cs.den * row[-1] for row in work], det * rhs.den)
+
+
 def random_rational_spd(rng, n: int, m: int
                         ) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """B^T B + I with small rational B, and an n x m rational right-hand side."""
@@ -425,22 +499,37 @@ def random_rational_spd(rng, n: int, m: int
     return mat, draw(n, m)
 
 
-def integer_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
-                  ) -> list[list[Fraction]]:
-    """mat^-1 rhs through the integer eliminator."""
+def gauss_jordan_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
+                       ) -> list[list[Fraction]]:
+    """mat^-1 rhs through the oracle's fraction-free Gauss-Jordan elimination."""
     n = len(mat)
     mi, m_den = _integer_rows(mat)
     ri, r_den = _integer_rows(rhs)
     rows = [a + b for a, b in zip(mi, ri)]
-    det = _bareiss(rows)[-1]
+    det = bareiss_gauss_jordan(rows)[-1]
     assert all(rows[i][j] == det * (i == j) for i in range(n) for j in range(n))
     return [[Fraction(x * m_den, det * r_den) for x in row[n:]] for row in rows]
+
+
+def lu_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
+             ) -> list[list[Fraction]]:
+    """A^-1 rhs for the leading len(rhs) x len(rhs) part A of mat, by substitution
+    against the library's LU of the whole of mat."""
+    mi, m_den = _integer_rows(mat)
+    ri, r_den = _integer_rows(rhs)
+    x, det = _substitute(_lu(mi), ri)
+    return [[Fraction(v * m_den, det * r_den) for v in row] for row in x]
 
 
 def test_integer_solve_matches_fraction_gauss_jordan(rng):
     for n, m in [(1, 1), (2, 3), (5, 4), (9, 9), (12, 2)]:
         mat, rhs = random_rational_spd(rng, n, m)
-        assert integer_solve(mat, rhs) == fraction_solve(mat, rhs)
+        for solve in (gauss_jordan_solve, lu_solve):
+            assert solve(mat, rhs) == fraction_solve(mat, rhs), solve
+        # leading parts: the factor of the whole block serves each of them
+        for k in range(1, n):
+            lead = [row[:k] for row in mat[:k]]
+            assert lu_solve(mat, rhs[:k]) == fraction_solve(lead, rhs[:k]), k
 
 
 def laplace_det(mat: list[list[int]]) -> int:
@@ -454,8 +543,9 @@ def laplace_det(mat: list[list[int]]) -> int:
 def test_bareiss_minors_are_the_leading_principal_minors(rng):
     mat, _ = random_rational_spd(rng, 6, 0)
     rows, _ = _integer_rows(mat)
-    minors = _bareiss([row[:] for row in rows])
+    minors = bareiss_gauss_jordan([row[:] for row in rows])
     assert minors == [laplace_det([row[:k] for row in rows[:k]]) for k in range(1, 7)]
+    assert [row[k] for k, row in enumerate(_lu(rows))] == minors
     assert positive_definite_exact(rows)
 
 
@@ -463,8 +553,9 @@ def test_singular_system_raises():
     b = [[Fraction(1, 2), Fraction(1, 3), Fraction(0)],
          [Fraction(2), Fraction(-1), Fraction(1, 5)]]
     mat = [[sum(b[t][i] * b[t][j] for t in range(2)) for j in range(3)] for i in range(3)]
-    with pytest.raises(ValueError, match="zero leading principal minor"):
-        integer_solve(mat, [[Fraction(1)], [Fraction(2)], [Fraction(3)]])
+    for solve in (gauss_jordan_solve, lu_solve):
+        with pytest.raises(ValueError, match="zero leading principal minor"):
+            solve(mat, [[Fraction(1)], [Fraction(2)], [Fraction(3)]])
 
 
 def test_minors_route_rejects_non_positive_definite():

@@ -15,15 +15,13 @@ from dbarn.sobolev import (
     assemble_gram,
     charge_exponents,
     gram_block_rows,
-    inner_monomial_L2,
     inner_s_direct,
     inner_s_exact,
     inner_s_recursive,
     inner_s_recursive_exact,
     leading_subgram,
-    pair_L2_exact,
 )
-from oracles import gram_block
+from oracles import gram_block, inner_monomial_L2
 
 Z = CPolynomial.z(1, 1)
 ZB = CPolynomial.zbar(1, 1)
@@ -64,7 +62,7 @@ def test_pair_L2_matches_monomial_table(rng):
         for (c, d), cb in q.terms.items():
             w = inner_monomial_L2(a[0], b[0], c[0], d[0])
             total += ca.to_complex() * np.conj(cb.to_complex()) * float(w)
-    assert abs(pair_L2_exact(p, q).to_complex() - total) < 1e-12 * (1 + abs(total))
+    assert abs(inner_s_exact(p, q, 0).to_complex() - total) < 1e-12 * (1 + abs(total))
 
 
 def test_inner_s_direct_examples():
