@@ -4,8 +4,8 @@ The package combines three layers:
 
   * exact symbolic calculus: multi-index combinatorics, (0,q)-forms with
     complex-rational polynomial coefficients, the operators dbar / theta /
-    contraction / wedge / box, and weighted Sobolev inner products whose
-    disc integrals are exact rational multiples of pi;
+    box, and weighted Sobolev inner products whose disc integrals are exact
+    rational multiples of pi;
   * a spectral Galerkin solver on the unit disc for least-norm solutions of
     dbar u = f and the inverse of the weighted form Laplacian, plus the
     boundary machinery (domain condition, cutoff projection, blow-up
@@ -22,15 +22,12 @@ from .multiindex import (
     enumerate_multiindices,
     gamma,
     multinomial_power_identity_check,
-    multinomial_sum,
-    normal_power_identity_check,
 )
 from .forms import (
     CPolynomial,
     CRational,
     FormPoly,
     box,
-    contract,
     dbar,
     epsilon,
     form_from_text,
@@ -39,7 +36,6 @@ from .forms import (
     random_cpolynomial,
     random_form,
     theta,
-    wedge_d1,
 )
 from .sobolev import (
     MonomialBasis,
@@ -56,7 +52,6 @@ from .geometry import (
     default_geometry,
     normal_derivative,
     plateau_bump,
-    tangential_decompose,
     ws_inner_sampled,
     ws_norm_sampled,
 )
@@ -73,7 +68,6 @@ from .ellipticity import (
 from .bvp import (
     DiscKOperator,
     Interval1DProblem,
-    apply_Gs_s1,
     bessel_i_series,
     characteristic_roots,
     manufactured_interval_problem,

@@ -467,27 +467,3 @@ class DiscKOperator:
 def _circle_theta_derivative(geom: DiscGeometry, values: np.ndarray) -> np.ndarray:
     """d/dtheta of M samples on the circle, spectrally (Nyquist mode dropped)."""
     return np.fft.ifft(np.fft.fft(values) * geom.theta_multiplier(1))
-
-
-def dbar_component_sampled(u: SampledField) -> SampledField:
-    """du/dzbar = (exp(i theta)/2) (d/dr + (i/r) d/dtheta) u, numerically."""
-    geom = u.geom
-    ur = u.radial_derivative().values
-    ut = u.theta_derivative().values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = 0.5 * np.exp(1j * geom.theta)[None, :] * (ur + 1j * ut / geom.r[:, None])
-    vals[geom.r == 0.0, :] = 0.0
-    return SampledField(geom, vals)
-
-
-def apply_Gs_s1(op: DiscKOperator, u: SampledField | CPolynomial) -> SampledField:
-    """G_1 u = K(dbar u) on functions; dbar u is exact for polynomials.
-
-    The result depends only on the boundary traces of u and dbar(u): interior
-    perturbations never reach the boundary stencils that feed the data.
-    """
-    if isinstance(u, CPolynomial):
-        psi = SampledField.from_polynomial(op.geom, u.diff_zbar(1))
-    else:
-        psi = dbar_component_sampled(u)
-    return op.apply(psi)

@@ -26,10 +26,9 @@ with z_j = x_j + i*x_{j+n},
     D_j     = d/dz_j + d/dzbar_j          (j <= n)
     D_{j+n} = i * (d/dz_j - d/dzbar_j).
 
-All operators here (dbar, its formal adjoint theta, contraction against a
-(0,1)-form, wedge with a (0,1)-form, and the Laplacian box = dbar theta +
-theta dbar) are exact, so identities like dbar(dbar(phi)) == 0 hold bit for
-bit and are tested that way.
+All operators here (dbar, its formal adjoint theta, and the Laplacian
+box = dbar theta + theta dbar) are exact, so identities like
+dbar(dbar(phi)) == 0 hold bit for bit and are tested that way.
 """
 
 from __future__ import annotations
@@ -505,54 +504,6 @@ def theta(psi: FormPoly) -> FormPoly:
             d = p.diff_z(i)
             _accumulate(out, I, -d if sign == 1 else d)
     return FormPoly(n, psi.q - 1, out)
-
-
-def contract(psi: FormPoly, omega: FormPoly) -> FormPoly:
-    """Contraction psi .| omega against a (0,1)-form omega.
-
-    (psi .| omega)_I = sum over k, K of epsilon(k, I -> K) psi_K conj(omega_k);
-    for polynomial omega the conjugate swaps z and zbar exponents.
-    """
-    if omega.q != 1:
-        raise ValueError("contraction requires a (0,1)-form on the right")
-    if psi.q < 1:
-        raise ValueError("contraction requires degree >= 1 on the left")
-    n = psi.n
-    omega_conj = {J[0]: p.conjugate() for J, p in omega.comps.items()}
-    out: dict[IncreasingIndex, CPolynomial] = {}
-    for K, p in psi.comps.items():
-        for pos, k in enumerate(K):
-            wk = omega_conj.get(k)
-            if wk is None:
-                continue
-            I = K[:pos] + K[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            term = p * wk
-            _accumulate(out, I, term if sign == 1 else -term)
-    return FormPoly(n, psi.q - 1, out)
-
-
-def wedge_d1(phi: FormPoly, omega: FormPoly) -> FormPoly:
-    """Exterior multiplication by a (0,1)-form.
-
-    Components are sum over k, J of epsilon(k, J -> K) omega_k phi_J, the
-    convention that makes contraction and wedge anticommute to |omega|^2.
-    """
-    if omega.q != 1:
-        raise ValueError("wedge_d1 requires a (0,1)-form")
-    if phi.q >= phi.n:
-        raise ValueError("wedge at top degree")
-    n = phi.n
-    out: dict[IncreasingIndex, CPolynomial] = {}
-    for J, p in phi.comps.items():
-        for (k,), wk in omega.comps.items():
-            if k in J:
-                continue
-            K = tuple(sorted((k,) + J))
-            sign = epsilon(k, J, K)
-            term = wk * p
-            _accumulate(out, K, term if sign == 1 else -term)
-    return FormPoly(n, phi.q + 1, out)
 
 
 def box(phi: FormPoly) -> FormPoly:

@@ -28,12 +28,6 @@ Each term is built in turn in one reusable workspace of s + 1 complex
 stencils act on it in cached blocks of RADIAL_BLOCK_ROWS rows, so a warm sum
 allocates nothing the size of the grid.  The workspace serves one caller at
 a time per geometry.
-
-Tangential decomposition on the disc: D_1 = Y_1 + nu_1 N and
-D_2 = Y_2 + nu_2 N with Y_1 = -(sin theta / r) d/dtheta and
-Y_2 = (cos theta / r) d/dtheta.  The decomposition is meaningless near the
-coordinate singularity; nodes with r <= R_EXCLUDE are zeroed and flagged by
-``annulus_mask``.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-R_EXCLUDE = 0.05  # tangential fields are not formed at or below this radius
 DEFAULT_STENCIL_SPACING = 0.012
 MIN_RADIAL_NODES = 16
 MIN_ANGULAR_NODES = 8
@@ -191,19 +184,9 @@ class DiscGeometry:
         return self._cached("zgrid", lambda: self.r[:, None] * np.exp(1j * self.theta)[None, :])
 
     @property
-    def nu(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit normal components (nu_1, nu_2) = (cos, sin) theta, shape (M,)."""
-        return self._cached("nu", lambda: (np.cos(self.theta), np.sin(self.theta)))
-
-    @property
     def rho_z_phase(self) -> np.ndarray:
         """d(rho)/dz = exp(-i theta)/2 along each ray (r-independent), shape (M,)."""
         return self._cached("rho_z", lambda: 0.5 * np.exp(-1j * self.theta))
-
-    @property
-    def annulus_mask(self) -> np.ndarray:
-        """Radial mask of nodes with r > R_EXCLUDE (shape (n_r,))."""
-        return self.r > R_EXCLUDE
 
     def radial_derivative_matrix(self, order: int) -> scipy.sparse.csr_matrix:
         """Sparse matrix applying d^order/dr^order along the radial node line."""
@@ -334,11 +317,6 @@ class SampledField:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def from_function(geom: DiscGeometry, fn) -> "SampledField":
-        """Sample fn(z) on the grid of complex nodes."""
-        return SampledField(geom, np.asarray(fn(geom.zgrid), dtype=complex))
-
-    @staticmethod
     def from_polar(geom: DiscGeometry, fn) -> "SampledField":
         return SampledField(
             geom, np.asarray(fn(geom.r[:, None], geom.theta[None, :]), dtype=complex)
@@ -362,17 +340,6 @@ class SampledField:
         return SampledField(self.geom, self.values * other)
 
     __rmul__ = __mul__
-
-    # -- derivatives ------------------------------------------------------------
-
-    def radial_derivative(self, order: int = 1) -> "SampledField":
-        mat = self.geom.radial_derivative_matrix(order)
-        return SampledField(self.geom, mat @ self.values)
-
-    def theta_derivative(self, order: int = 1) -> "SampledField":
-        mult = self.geom.theta_multiplier(order)
-        vals = np.fft.ifft(np.fft.fft(self.values, axis=1) * mult[None, :], axis=1)
-        return SampledField(self.geom, vals)
 
     def boundary_values(self) -> np.ndarray:
         return self.values[-1].copy()
@@ -423,31 +390,6 @@ def normal_derivative(f: SampledField, order: int,
     sel = np.array(sorted(idx))
     w = fd_weights(geom.r[sel], 1.0, order)[order]
     return w @ f.values[sel, :]
-
-
-def tangential_fields(geom: DiscGeometry, f: SampledField, j: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(Y_j f, nu_j * N f) values; rows with r <= R_EXCLUDE zeroed."""
-    if j not in (1, 2):
-        raise ValueError("coordinate index must be 1 or 2")
-    nu1, nu2 = geom.nu
-    nu_j = nu1 if j == 1 else nu2
-    coef = -nu2 if j == 1 else nu1  # Y_1 = -(sin/r) d_theta, Y_2 = (cos/r) d_theta
-    ft = f.theta_derivative().values
-    nf = f.radial_derivative().values
-    mask = geom.annulus_mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        yj = coef[None, :] * ft / geom.r[:, None]
-    yj[~mask, :] = 0.0
-    normal_part = nu_j[None, :] * nf
-    normal_part[~mask, :] = 0.0
-    return yj, normal_part
-
-
-def tangential_decompose(j: int, f: SampledField) -> tuple[SampledField, SampledField]:
-    """Split D_j f into tangential and normal parts on the annulus r > R_EXCLUDE."""
-    yj, npart = tangential_fields(f.geom, f, j)
-    return SampledField(f.geom, yj), SampledField(f.geom, npart)
 
 
 def _radial_spectrum(geom: DiscGeometry, order: int, spec: np.ndarray,

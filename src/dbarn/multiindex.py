@@ -110,24 +110,6 @@ def enumerate_multiindices(order: int, dim: int) -> list[MultiIndex]:
     return out
 
 
-def multinomial_sum(nu: Sequence[Fraction | int], s: int) -> Fraction:
-    """Sum of gamma(alpha) * nu^(2*alpha) over |alpha| = s, exact.
-
-    By the multinomial theorem this equals (sum nu_j^2)^s; the property suite
-    checks that equality, here we only evaluate the sum directly.
-    """
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    nu = [Fraction(x) for x in nu]
-    total = Fraction(0)
-    for alpha in enumerate_multiindices(s, len(nu)):
-        term = Fraction(gamma(alpha))
-        for x, e in zip(nu, alpha):
-            term *= x ** (2 * e)
-        total += term
-    return total
-
-
 def binomial_double_sum(k: int, p: int, m: int) -> int:
     """sum_{j=0}^{m} C(k+j, j) * C(p-j, m-j), evaluated term by term.
 
@@ -178,41 +160,4 @@ def multinomial_power_identity_check(dim: int, s: int) -> bool:
     rhs: _Poly = {(0,) * dim: Fraction(1)}
     for _ in range(s):
         rhs = _poly_mul(rhs, sq)
-    return lhs == rhs
-
-
-def normal_power_identity_check(nu: Sequence[Fraction | int], ell: int) -> bool:
-    """Check sum_{|alpha|=ell-1} gamma(alpha) nu^alpha xi^alpha == (sum nu_j xi_j)^(ell-1).
-
-    The check is an exact polynomial identity in commuting symbols
-    xi_1..xi_d; it encodes the fact that for a frozen unit vector nu the
-    gamma-weighted derivative sum collapses to a power of the directional
-    derivative along nu.  The left side is built from the gamma coefficients,
-    the right side by repeated symbolic multiplication, so the two routes are
-    independent.
-    """
-    nu = [Fraction(x) for x in nu]
-    if sum(x * x for x in nu) != 1:
-        raise ValueError("nu must satisfy sum(nu_j^2) == 1 exactly")
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
-    d = len(nu)
-
-    lhs: _Poly = {}
-    for alpha in enumerate_multiindices(ell - 1, d):
-        c = Fraction(gamma(alpha))
-        for x, e in zip(nu, alpha):
-            c *= x**e
-        if c:
-            lhs[alpha.exponents] = lhs.get(alpha.exponents, Fraction(0)) + c
-
-    linear: _Poly = {}
-    for j, x in enumerate(nu):
-        if x:
-            key = tuple(1 if i == j else 0 for i in range(d))
-            linear[key] = x
-    rhs: _Poly = {(0,) * d: Fraction(1)}
-    for _ in range(ell - 1):
-        rhs = _poly_mul(rhs, linear)
-
     return lhs == rhs

@@ -178,10 +178,8 @@ class SobolevGram:
     ``operators`` are the float solve operators, kept by ``neumann``.
     """
 
-    def __init__(self, s: int, basis: MonomialBasis, matrix: np.ndarray | None = None):
+    def __init__(self, s: int, basis: MonomialBasis):
         self.s, self.basis = s, basis
-        if matrix is not None:
-            self.matrix = matrix
         self._blocks: dict[int, tuple[list[list[int]], int]] = {}
         self.factors: dict = {}  # charge -> neumann's fraction-free LU of block(charge)
         self.setups: dict = {}  # form charge -> neumann's exact set-up

@@ -105,46 +105,6 @@ def theta_full(psi: FormPoly) -> FormPoly:
     return canonical_from_full(out, n, q - 1)
 
 
-def contract_full(psi: FormPoly, omega: FormPoly) -> FormPoly:
-    """(psi .| omega)_I = sum_k psi_{kI} conj(omega_k) on the full tensor."""
-    n, q = psi.n, psi.q
-    full = full_from_canonical(psi)
-    omega_conj = {J[0]: p.conjugate() for J, p in omega.comps.items()}
-    out: FullTensor = {}
-    for key in permutations(range(1, n + 1), q - 1):
-        total = CPolynomial.zero(n)
-        for k, wk in omega_conj.items():
-            comp = full.get((k,) + key)
-            if comp is not None:
-                total = total + comp * wk
-        if not total.is_zero():
-            out[key] = total
-    return canonical_from_full(out, n, q - 1)
-
-
-def wedge_full(phi: FormPoly, omega: FormPoly) -> FormPoly:
-    """(omega wedge phi)_{j0..jq} = sum_m (-1)^m omega_{j_m} phi_{j0..^jm..jq}."""
-    n, q = phi.n, phi.q
-    full = full_from_canonical(phi)
-    omega_comp = {J[0]: p for J, p in omega.comps.items()}
-    out: FullTensor = {}
-    for key in permutations(range(1, n + 1), q + 1):
-        total = CPolynomial.zero(n)
-        for m in range(q + 1):
-            wk = omega_comp.get(key[m])
-            if wk is None:
-                continue
-            rest = key[:m] + key[m + 1:]
-            comp = full.get(rest)
-            if comp is None:
-                continue
-            term = wk * comp
-            total = total + (term if m % 2 == 0 else -term)
-        if not total.is_zero():
-            out[key] = total
-    return canonical_from_full(out, n, q + 1)
-
-
 # -- per-term Fraction algebra of polynomial coefficients ---------------------------
 
 Terms = dict[BiExponent, CRational]
@@ -427,6 +387,17 @@ def exact_hodge_certificate(f1: np.ndarray, f2: np.ndarray, d: int,
 # -- sampled fields on the disc ------------------------------------------------------
 
 
+def radial_derivative(f: SampledField, order: int = 1) -> np.ndarray:
+    """d^order f / dr^order on the grid, by the geometry's radial stencil."""
+    return f.geom.radial_derivative_matrix(order) @ f.values
+
+
+def theta_derivative(f: SampledField, order: int = 1) -> np.ndarray:
+    """d^order f / dtheta^order on the grid, by an FFT along each ring."""
+    mult = f.geom.theta_multiplier(order)
+    return np.fft.ifft(np.fft.fft(f.values, axis=1) * mult[None, :], axis=1)
+
+
 def _frame_derivatives(f: SampledField, s: int) -> list[np.ndarray]:
     """[f, f_r, f_theta, H_rr, H_rtheta, H_thetatheta] up to order s, each taken once.
 
@@ -436,12 +407,12 @@ def _frame_derivatives(f: SampledField, s: int) -> list[np.ndarray]:
     geom = f.geom
     out = [f.values]
     if s >= 1:
-        out += [f.radial_derivative(1).values, f.theta_derivative(1).values]
+        out += [radial_derivative(f, 1), theta_derivative(f, 1)]
     if s >= 2:
         fr, ft = out[1], out[2]
-        frr = f.radial_derivative(2).values
-        ftt = f.theta_derivative(2).values
-        frt = SampledField(geom, fr).theta_derivative(1).values
+        frr = radial_derivative(f, 2)
+        ftt = theta_derivative(f, 2)
+        frt = theta_derivative(SampledField(geom, fr), 1)
         r = geom.r[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             h_rt = frt / r - ft / r**2
@@ -483,7 +454,7 @@ def k_boundary_data_full_field(op: DiscKOperator, psi: SampledField) -> np.ndarr
     theta = geom.theta
     rho_z = geom.rho_z_phase
     data = psi.boundary_values() * rho_z
-    dpsi_dtheta = psi.theta_derivative().boundary_values()
+    dpsi_dtheta = theta_derivative(psi)[-1]
     dpsi_dr = normal_derivative(psi, 1)
     c = (-np.sin(theta), np.cos(theta))
     nu = (np.cos(theta), np.sin(theta))

@@ -9,7 +9,6 @@ from dbarn.bvp import (
     MAX_FD_CELLS,
     DiscKOperator,
     Interval1DProblem,
-    apply_Gs_s1,
     bessel_i_series,
     bessel_i_series_derivative,
     characteristic_roots,
@@ -291,29 +290,3 @@ def test_weak_form_identity(geom_fine, rng):
                     dphi * np.conj(dpsi * rho_z))
             phi_norm = math.sqrt(abs(ws_inner_sampled(phi_field, phi_field, 1)))
             assert abs(lhs - rhs) <= 1e-6 * max(phi_norm * omega_norm, 1.0)
-
-
-def test_gs_vanishes_on_holomorphic(geom_fine):
-    op = DiscKOperator(geom_fine)
-    u = CPolynomial.z(1, 1) * CPolynomial.z(1, 1)
-    out = apply_Gs_s1(op, u)
-    assert np.max(np.abs(out.values)) < 1e-12
-
-
-def test_gs_matches_k_of_dbar(geom_fine):
-    op = DiscKOperator(geom_fine)
-    u = CPolynomial.zbar(1, 1)
-    via_gs = apply_Gs_s1(op, u)
-    via_k = op.apply(CPolynomial.const(1, 1))
-    assert np.max(np.abs(via_gs.values - via_k.values)) < 1e-10
-
-
-def test_gs_ignores_interior_perturbation(geom_fine, rng):
-    op = DiscKOperator(geom_fine)
-    base = SampledField.from_polynomial(geom_fine, random_cpolynomial(rng, 1, 3))
-    bump = SampledField.from_polar(
-        geom_fine, lambda r, t: plateau_bump(r / 0.5) * np.cos(3 * t))
-    out1 = apply_Gs_s1(op, base)
-    out2 = apply_Gs_s1(op, base + bump)
-    scale = np.max(np.abs(out1.values)) + 1e-30
-    assert np.max(np.abs(out1.values - out2.values)) / scale < 1e-8

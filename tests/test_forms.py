@@ -9,7 +9,6 @@ from dbarn.forms import (
     FormPoly,
     QC_ONE,
     box,
-    contract,
     dbar,
     epsilon,
     form_from_text,
@@ -18,13 +17,11 @@ from dbarn.forms import (
     random_cpolynomial,
     random_form,
     theta,
-    wedge_d1,
 )
 
 from dbarn.sobolev import inner_s_exact
 
 from oracles import (
-    contract_full,
     dbar_full,
     pair_L2_terms,
     terms_add,
@@ -36,7 +33,6 @@ from oracles import (
     terms_mul,
     terms_scale,
     theta_full,
-    wedge_full,
 )
 
 
@@ -258,75 +254,6 @@ def test_theta_squared_zero(rng):
         q = int(rng.integers(2, n + 1))
         psi = random_form(rng, n, q, 4)
         assert theta(theta(psi)).is_zero()
-
-
-# -- contraction and wedge ------------------------------------------------------------
-
-
-def test_contract_examples():
-    psi = const_form(2, 2, (1, 2))
-    assert contract(psi, const_form(2, 1, (1,))).component((2,)).terms == {
-        ((0, 0), (0, 0)): QC_ONE}
-    assert contract(psi, const_form(2, 1, (2,))).component((1,)).terms == {
-        ((0, 0), (0, 0)): CRational.of(-1)}
-    assert contract(const_form(2, 1, (1,)), const_form(2, 1, (2,))).is_zero()
-
-
-def test_contract_conjugates_polynomial_coefficients():
-    # omega = z dzbar: conj(omega_1) = zbar
-    psi = const_form(1, 1, (1,))
-    omega = FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)})
-    out = contract(psi, omega)
-    assert out.component(()).terms == {((0,), (1,)): QC_ONE}
-
-
-def test_contract_matches_oracle(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 4))
-        q = int(rng.integers(1, n + 1))
-        psi = random_form(rng, n, q, 3)
-        omega = random_form(rng, n, 1, 3)
-        assert contract(psi, omega) == contract_full(psi, omega)
-
-
-def test_wedge_examples():
-    one = const_form(2, 0, ())
-    dzb1 = const_form(2, 1, (1,))
-    assert wedge_d1(one, dzb1) == dzb1
-    assert wedge_d1(dzb1, dzb1).is_zero()
-
-
-def test_wedge_matches_oracle(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 4))
-        q = int(rng.integers(0, n))
-        phi = random_form(rng, n, q, 3)
-        omega = random_form(rng, n, 1, 3)
-        assert wedge_d1(phi, omega) == wedge_full(phi, omega)
-
-
-def test_wedge_degree_error():
-    with pytest.raises(ValueError, match="top degree"):
-        wedge_d1(const_form(2, 2, (1, 2)), const_form(2, 1, (1,)))
-
-
-def test_interior_exterior_anticommutation(rng):
-    # contract(wedge(phi, w), w) + wedge(contract(phi, w), w) = |w|^2 phi
-    # for constant-coefficient w.
-    for _ in range(50):
-        n = int(rng.integers(2, 4))
-        q = int(rng.integers(1, n))
-        phi = random_form(rng, n, q, 3)
-        comps = {}
-        norm2 = CRational.of(0)
-        for k in range(1, n + 1):
-            c = CRational.of(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-            if not c.is_zero():
-                comps[(k,)] = CPolynomial.const(n, c)
-                norm2 = norm2 + c * c.conjugate()
-        omega = FormPoly(n, 1, comps)
-        lhs = contract(wedge_d1(phi, omega), omega) + wedge_d1(contract(phi, omega), omega)
-        assert lhs == phi.scale(norm2)
 
 
 # -- box -----------------------------------------------------------------------------

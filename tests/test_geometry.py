@@ -13,13 +13,12 @@ from dbarn.geometry import (
     fd_weights,
     normal_derivative,
     plateau_bump,
-    tangential_decompose,
     ws_inner_sampled,
     ws_norm_sampled,
 )
 from dbarn.sobolev import inner_s_direct
 
-from oracles import ws_inner_frame
+from oracles import radial_derivative, ws_inner_frame
 
 
 def radial(geom, fn):
@@ -47,25 +46,12 @@ def test_boundary_integral_examples(geom):
     assert abs(geom.boundary_integral(np.cos(geom.theta) ** 2) - math.pi) < 1e-13
 
 
-def test_unit_normal(geom):
-    nu1, nu2 = geom.nu
-    assert np.max(np.abs(nu1**2 + nu2**2 - 1.0)) < 1e-14
-
-
 def test_normal_kills_nu(geom):
     # N(nu_j) = 0: the normal components are independent of r.
-    nu1, _ = geom.nu
+    nu1 = np.cos(geom.theta)
     f = SampledField(geom, np.broadcast_to(nu1, (geom.n_r, geom.n_theta)).copy())
-    deriv = f.radial_derivative().values[geom.annulus_mask]
+    deriv = radial_derivative(f)[geom.r > 0.05]
     assert np.max(np.abs(deriv)) < 1e-8
-
-
-def test_tangential_kills_defining_function(geom):
-    rho = radial(geom, lambda r: r - 1.0)
-    y1, _ = tangential_decompose(1, rho)
-    y2, _ = tangential_decompose(2, rho)
-    assert np.max(np.abs(y1.values)) < 1e-12
-    assert np.max(np.abs(y2.values)) < 1e-12
 
 
 # -- normal derivatives -----------------------------------------------------------
@@ -105,56 +91,9 @@ def test_fd_weights_differentiate_polynomials(rng):
         assert abs(w[m] @ vals - exact) < 1e-7 * max(1.0, abs(exact))
 
 
-# -- tangential decomposition ------------------------------------------------------
-
-
-def test_tangential_decompose_radial_field(geom):
-    f = radial(geom, lambda r: r)
-    nu1, _ = geom.nu
-    yf, nf = tangential_decompose(1, f)
-    mask = geom.annulus_mask
-    assert np.max(np.abs(yf.values[mask])) < 1e-10
-    expected = np.broadcast_to(nu1, (geom.n_r, geom.n_theta))[mask]
-    assert np.max(np.abs(nf.values[mask] - expected)) < 1e-9
-
-
-def test_tangential_decompose_angular_field(geom):
+def test_radial_stencil_kills_angular_field(geom):
     f = SampledField.from_polar(geom, lambda r, t: np.exp(1j * t) * np.ones_like(r))
-    mask = geom.annulus_mask
-    assert np.max(np.abs(f.radial_derivative().values[mask])) < 1e-8
-
-
-def test_tangential_decompose_x(geom):
-    f = SampledField.from_function(geom, lambda z: z.real)
-    nu1, _ = geom.nu
-    y1, n1 = tangential_decompose(1, f)
-    mask = geom.annulus_mask
-    exp_y = np.broadcast_to(1 - nu1**2, (geom.n_r, geom.n_theta))
-    exp_n = np.broadcast_to(nu1**2, (geom.n_r, geom.n_theta))
-    assert np.max(np.abs(y1.values[mask] - exp_y[mask])) < 1e-9
-    assert np.max(np.abs(n1.values[mask] - exp_n[mask])) < 1e-9
-
-
-def test_decomposition_sums_to_real_derivative(geom, rng):
-    for _ in range(5):
-        p = random_cpolynomial(rng, 1, 3)
-        f = SampledField.from_polynomial(geom, p)
-        for j in (1, 2):
-            yj, nj = tangential_decompose(j, f)
-            exact = SampledField.from_polynomial(geom, p.diff_real(j))
-            diff = (yj.values + nj.values - exact.values)[geom.annulus_mask]
-            assert np.max(np.abs(diff)) < 1e-6
-
-
-def test_nu_weighted_tangential_sum_vanishes(geom, rng):
-    nu1, nu2 = geom.nu
-    for _ in range(20):
-        p = random_cpolynomial(rng, 1, 3)
-        f = SampledField.from_polynomial(geom, p)
-        y1, _ = tangential_decompose(1, f)
-        y2, _ = tangential_decompose(2, f)
-        total = nu1[None, :] * y1.values + nu2[None, :] * y2.values
-        assert np.max(np.abs(total[geom.annulus_mask])) < 1e-8
+    assert np.max(np.abs(radial_derivative(f)[geom.r > 0.05])) < 1e-8
 
 
 # -- sampled W^s inner products ------------------------------------------------------
@@ -338,7 +277,7 @@ def test_radial_fourier_sum_exact_derivatives(geom, rng):
     assert np.max(np.abs(sampled - direct)) < 1e-12
     # first radial derivative against the stencil path, away from the origin
     d_exact = rfs.radial_derivative(1).sample(geom)
-    d_stencil = SampledField(geom, direct).radial_derivative().values
+    d_stencil = radial_derivative(SampledField(geom, direct))
     mask = geom.r > 0.1
     assert np.max(np.abs((d_exact - d_stencil)[mask])) < 1e-6
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,6 @@ from dbarn.multiindex import (
     enumerate_multiindices,
     gamma,
     multinomial_power_identity_check,
-    multinomial_sum,
-    normal_power_identity_check,
 )
 
 
@@ -58,22 +55,6 @@ def test_enumerate_bound():
         enumerate_multiindices(60, 8)
 
 
-def test_multinomial_sum_examples():
-    assert multinomial_sum([1, 0], 4) == 1
-    assert multinomial_sum([1, 1], 2) == 4
-    assert multinomial_sum([Fraction(3, 5), Fraction(4, 5)], 3) == 1
-
-
-def test_multinomial_sum_equals_power(rng):
-    for _ in range(20):
-        dim = int(rng.integers(1, 5))
-        s = int(rng.integers(0, 5))
-        nu = [Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
-              for _ in range(dim)]
-        norm2 = sum(x * x for x in nu)
-        assert multinomial_sum(nu, s) == norm2**s
-
-
 @pytest.mark.parametrize("dim", range(1, 5))
 @pytest.mark.parametrize("s", range(6))
 def test_multinomial_power_identity(dim, s):
@@ -105,21 +86,3 @@ def test_binomial_double_sum_recursion():
 def test_binomial_double_sum_domain():
     with pytest.raises(ValueError, match="p >= m"):
         binomial_double_sum(2, 3, 4)
-
-
-def test_normal_power_identity_examples():
-    assert normal_power_identity_check([1, 0], 3)
-    assert normal_power_identity_check([Fraction(3, 5), Fraction(4, 5)], 2)
-    assert normal_power_identity_check([Fraction(3, 5), Fraction(4, 5)], 4)
-
-
-def test_normal_power_identity_rejects_non_unit():
-    with pytest.raises(ValueError, match="nu"):
-        normal_power_identity_check([1, 1], 2)
-
-
-def test_normal_power_identity_pythagorean_quadruple():
-    nu = [Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)]
-    assert sum(x * x for x in nu) == 1
-    for ell in (1, 2, 3, 4):
-        assert normal_power_identity_check(nu, ell)

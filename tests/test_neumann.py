@@ -87,9 +87,15 @@ def test_exact_entry_points_check_their_size(call, match):
         call()
 
 
+def gram_with_matrix(s, basis, matrix):
+    gram = SobolevGram(s, basis)
+    gram.matrix = matrix
+    return gram
+
+
 def test_adjoint_rejects_a_foreign_operator_or_gram():
     cx = DiscreteComplex.build(6, 1)
-    eye = SobolevGram(s=1, basis=cx.basis, matrix=np.eye(cx.basis.dim))
+    eye = gram_with_matrix(1, cx.basis, np.eye(cx.basis.dim))
     other = DiscreteComplex.build(6, 2)
     off_pattern = cx.dbar_matrix.copy()  # every dbar entry, and one more off the pattern
     off_pattern[0, 0] = 1.0
@@ -102,8 +108,7 @@ def test_adjoint_rejects_a_foreign_operator_or_gram():
         with pytest.raises(ValueError, match="DiscreteComplex"):
             adjoint(*args)
     # a Gram pair equal to the complex's, though not the cached objects, is accepted
-    copies = [SobolevGram(s=1, basis=g.basis, matrix=g.matrix.copy())
-              for g in (cx.gram, cx.form_gram)]
+    copies = [gram_with_matrix(1, g.basis, g.matrix.copy()) for g in (cx.gram, cx.form_gram)]
     assert (adjoint(cx.dbar_matrix, *copies) != adjoint(cx.dbar_matrix, cx.gram,
                                                         cx.form_gram)).nnz == 0
 
