@@ -173,7 +173,7 @@ def criterion_05(seed: int = DEFAULT_SEED) -> CriterionResult:
             for _ in range(50):
                 v = rng.standard_normal(s) + 1j * rng.standard_normal(s)
                 positive_ok &= ellipticity.quadratic_form(s, float(xi), v) > 0.0
-    passed = lopatinski_ok and positive_ok
+    passed = bool(lopatinski_ok and positive_ok)
     return CriterionResult(
         5, "trivial kernel certified; quadratic form strictly positive", passed,
         {"min_scaled_det": f"{min_det:.3e}", "threshold": ellipticity.DET_THRESHOLD,

@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import CPolynomial
 from .geometry import (
     DiscGeometry,
     SampledField,
@@ -457,10 +456,8 @@ class DiscKOperator:
             data -= _circle_theta_derivative(geom, c[j] * t_j)
         return data
 
-    def apply(self, psi: SampledField | CPolynomial) -> SampledField:
+    def apply(self, psi: SampledField) -> SampledField:
         """K psi for s = 1: assemble boundary data, then the Neumann solve."""
-        if isinstance(psi, CPolynomial):
-            psi = SampledField.from_polynomial(self.geom, psi)
         return self.solve_with_boundary_data(self.boundary_data(psi))
 
 

@@ -94,7 +94,7 @@ def _record(args: argparse.Namespace, payload: dict) -> str:
     """The JSON record of a run, written to --out when one is given."""
     text = json.dumps({"schema": SCHEMA_VERSION, "subcommand": args.subcommand,
                        "seed": args.seed, **payload},
-                      sort_keys=True, indent=2, default=str)
+                      sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     return text

@@ -375,10 +375,10 @@ class CPolynomial:
 
 def float_range_error(p: CPolynomial) -> ValueError:
     """The refusal of a polynomial whose floats, or float results computed from it,
-    overflow float64, naming the scale of its largest coefficient part."""
+    leave the float64 range, naming the scale of its largest coefficient part."""
     top = max(abs(x) for pair in p.num.values() for x in pair)
     return ValueError(f"coefficients up to about 1e{log10(top) - log10(p.den):.0f} "
-                      "give results past the float64 range")
+                      "give results outside the float64 range")
 
 
 def epsilon(k: int, J: IncreasingIndex, K: IncreasingIndex) -> int:
@@ -449,16 +449,6 @@ class FormPoly:
             else:
                 out[J] = s
         return FormPoly(self.n, self.q, out)
-
-    def __sub__(self, other: "FormPoly") -> "FormPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c: CRational | Fraction | int) -> "FormPoly":
-        if not isinstance(c, CRational):
-            c = CRational.of(c)
-        if c.is_zero():
-            return FormPoly.zero(self.n, self.q)
-        return FormPoly(self.n, self.q, {J: p.scale(c) for J, p in self.comps.items()})
 
 
 def _accumulate(target: dict[IncreasingIndex, CPolynomial], J: IncreasingIndex,

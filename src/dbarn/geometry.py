@@ -328,18 +328,8 @@ class SampledField:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other: "SampledField") -> "SampledField":
-        return SampledField(self.geom, self.values + other.values)
-
     def __sub__(self, other: "SampledField") -> "SampledField":
         return SampledField(self.geom, self.values - other.values)
-
-    def __mul__(self, other) -> "SampledField":
-        if isinstance(other, SampledField):
-            return SampledField(self.geom, self.values * other.values)
-        return SampledField(self.geom, self.values * other)
-
-    __rmul__ = __mul__
 
     def boundary_values(self) -> np.ndarray:
         return self.values[-1].copy()

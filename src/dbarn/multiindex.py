@@ -45,18 +45,8 @@ class MultiIndex:
         """|alpha|, recomputed from the exponents."""
         return sum(self.exponents)
 
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.exponents)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __getitem__(self, i: int) -> int:
-        return self.exponents[i]
 
 
 def gamma(alpha: MultiIndex | Sequence[int]) -> int:

@@ -40,6 +40,7 @@ Contents:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -161,40 +162,23 @@ class LeastNormSolution:
     kernel_orthogonality: float
 
 
-def _least_norm(cx: DiscreteComplex, fvec: np.ndarray, cols: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
-    """Coefficients of the least-W^s-norm solution of A u = f, in closed form.
-
-    u0 = A^T (f / b^2) solves A u0 = f and vanishes on the holomorphic
-    columns, which span the kernel of A.  There is one holomorphic monomial
-    z^k per charge, so they are mutually W^s-orthogonal, and projecting u0
-    off each one sets u[h] = -(G u0)[h] / G[h, h].
-    """
-    u = np.zeros(cx.basis.dim, dtype=np.result_type(fvec, float))
-    u[cols] = fvec / b
-    holo = cx.holomorphic_indices()
-    g_holo = cx.gram.matrix[holo]
-    u[holo] = -(g_holo @ u) / g_holo[np.arange(len(holo)), holo]
-    return u
-
-
 def canonical_solve_dbar(f, s: int | None = None, d: int | None = None,
                          cx: DiscreteComplex | None = None) -> LeastNormSolution:
     """Least-W^s-norm solution of dbar u = f, orthogonal to the holomorphics.
 
     f may be a FormPoly / CPolynomial of degree <= d-1, solved exactly
     (``_canonical_exact``), or a float coefficient vector over the form
-    basis, solved in float64.  The solution is written down, not solved for
-    (see ``_least_norm``): no Gram is factored, so it holds up to the degree
-    cap.  The residual and the kernel orthogonality are measured on the
-    returned coefficients.
+    basis, multiplied by the canonical map C rounded once (``_operators``).
+    The solution is written down, not solved for (``_ChargeSetup.least_norm``),
+    so it holds up to the degree cap.  The residual and the kernel
+    orthogonality are measured on the returned coefficients.
     """
     if not isinstance(f, np.ndarray):
         return _canonical_exact(f, *_exact_size(s, d, cx))
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     cols, b = _dbar_pattern(cx.basis.degree)
-    u = _least_norm(cx, f, cols, b)
+    u = real_matvec(_operators(cx)[3], f)
 
     fnorm = cx.form_gram.norm(f)
     resid = cx.form_gram.norm(b * u[cols] - f) / fnorm if fnorm else 0.0  # A u - f
@@ -233,8 +217,8 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
     independent check: |A w - f|_s / |f|_s and |w - v|_s, measured on w = A* u.
 
     A FormPoly / CPolynomial f is solved exactly, one charge at a time
-    (``_neumann_exact``); a float vector is multiplied by N = G_f^-1 Y and A*,
-    rounded once (``_operators``): u is correctly rounded at every degree, but
+    (``_neumann_exact``); a float vector is multiplied by N = G_f^-1 Y, A* and
+    C, rounded once (``_operators``): u is correctly rounded at every degree, but
     the entries of A* grow with d, and the certificates miss 1e-8 from d ~ 20.
     """
     if not isinstance(f, np.ndarray):
@@ -242,9 +226,10 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     cols, b = _dbar_pattern(cx.basis.degree)
-    v = _least_norm(cx, f, cols, b)
-    u = real_matvec(_operators(cx)[0], f)
-    w = real_matvec(_operators(cx)[2], u)  # A* u
+    n_op, _, adj, canon = _operators(cx)
+    u = real_matvec(n_op, f)
+    w = real_matvec(adj, u)  # A* u
+    v = real_matvec(canon, f)
     fnorm = cx.form_gram.norm(f)
     resid = cx.form_gram.norm(b * w[cols] - f) / fnorm if fnorm else 0.0
     ratio = cx.form_gram.norm(u) / fnorm if fnorm else 0.0
@@ -252,21 +237,15 @@ def neumann_solve(f, s: int | None = None, d: int | None = None,
                            canonical_match=cx.gram.norm(w - v))
 
 
-def hodge_decompose(f, s: int | None = None, d: int | None = None,
+def hodge_decompose(f: np.ndarray, s: int | None = None, d: int | None = None,
                     cx: DiscreteComplex | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Split f into its dbar-range part and the W^s-orthogonal remainder.
-
-    f is a coefficient vector over the full degree-d basis (or a form whose
-    component may reach degree d).  In one variable at top degree the
-    remainder is purely a truncation artifact: it vanishes whenever f lies
-    in the degree-(d-1) range of the discrete dbar.  A form is split exactly
-    (the parts of ``hodge_split``), a float vector by the rounded projection
-    (``_operators``).
+    """Split a float coefficient vector f over the full degree-d basis into its
+    dbar-range part and the W^s-orthogonal remainder, by the rounded projection
+    (``_operators``); a form is split exactly by ``hodge_split``.  In one variable
+    at top degree the remainder is purely a truncation artifact: it vanishes
+    whenever f lies in the degree-(d-1) range of the discrete dbar.
     """
-    if not isinstance(f, np.ndarray):
-        split = hodge_split(f, s, d, cx)
-        return split.range_part, split.orthogonal_part
     if cx is None:
         cx = DiscreteComplex.build(d, s)
     f1 = np.zeros_like(f, dtype=np.result_type(f, float))
@@ -500,13 +479,14 @@ def _normal_solution(gram: SobolevGram, charge: int) -> tuple[list[list[int]], i
 
 
 def _operators(cx: DiscreteComplex) -> tuple:
-    """CSR (N, P, A*) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form), kept on
-    the degree-d Gram from the first call.  Per form charge, N is the store's W, and
-    P and A* are substitutions against the factors of blocks kappa and kappa - 1,
-    every entry rounded once, correctly."""
+    """CSR (N, P, A*, C) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form, the
+    canonical map), kept on the degree-d Gram from the first call.  Per form charge, N
+    is the store's W, P and A* are substitutions against the factors of blocks kappa
+    and kappa - 1, and C is ``_ChargeSetup.least_norm`` column by column, every entry
+    rounded once, correctly."""
     if cx.gram.operators is None:
         import scipy.sparse  # on first use, like the float Cholesky
-        coo = ([], [], [])  # (row, column, value) entries of N, P and A*
+        coo = ([], [], [], [])  # (row, column, value) entries of N, P, A* and C
 
         def put(op, rows, cols, x, scale, den):
             coo[op].extend((i, j, scale * v / den) for i, row in zip(rows, x)
@@ -525,10 +505,15 @@ def _operators(cx: DiscreteComplex) -> tuple:
             put(1, form, cols[nf:], x, cs.den, det * cs.den)
             x, det = _substitute(_factor(gram, charge - 1), [[0] * nf] * cs.hol + [
                 [b * v for v in row] for b, row in zip(cs.weights, cs.form)])
-            put(2, [cx.basis.index_of(*e) for e in cs.func_exps], form, x, cs.func_den,
-                det * cs.den)
+            func = [cx.basis.index_of(*e) for e in cs.func_exps]
+            put(2, func, form, x, cs.func_den, det * cs.den)
+            # column j: 1 / b_j on its function column, -G_hj / (G_hh b_j) on z^(kappa-1)
+            coo[3].extend((i, j, 1 / b) for i, j, b in zip(func[cs.hol:], form, cs.weights))
+            if cs.hol:
+                h, p = cs.func[0][1:], cs.func[0][0]
+                coo[3].extend((func[0], j, -g / (p * b)) for j, g, b in zip(form, h, cs.weights))
         nf, nu = cx.form_basis.dim, cx.basis.dim
-        shapes = [(nf, nf), (nf, nu), (nu, nf)]
+        shapes = [(nf, nf), (nf, nu), (nu, nf), (nu, nf)]
         cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
                                   for (i, j, v), shape in zip((zip(*t) for t in coo), shapes))
     return cx.gram.operators
@@ -582,14 +567,20 @@ def neumann_operator_norm_proxy_exact(d: int, s: int) -> float:
 
 
 def _in_float_range(exact_solve):
-    """``exact_solve`` of a form f, refusing a rounded coefficient or norm past the
-    float64 range by the ValueError that names the scale of f's coefficients."""
+    """``exact_solve`` of a form f, refused by the ValueError that names the scale of f's
+    coefficients when its largest coefficient part is nonzero but below the smallest
+    normal float64 (the rounded results would lose their digits), or when a rounded
+    coefficient or norm is past the float64 range."""
     @wraps(exact_solve)
     def solve(f, *args, **kwargs):
+        comp = f.component((1,)) if isinstance(f, FormPoly) else f
+        top = max((abs(x) for pair in comp.num.values() for x in pair), default=0)
+        if 0 < Fraction(top, comp.den) < sys.float_info.min:
+            raise float_range_error(comp)
         try:
             return exact_solve(f, *args, **kwargs)
         except OverflowError:
-            raise float_range_error(f.component((1,)) if isinstance(f, FormPoly) else f) from None
+            raise float_range_error(comp) from None
     return solve
 
 
@@ -814,21 +805,14 @@ def contraction_with_dbar_rho(psi: SampledField) -> SampledField:
     return SampledField(geom, psi.values * geom.rho_z_phase[None, :])
 
 
-def check_domain_condition(psi: SampledField | FormPoly, s: int,
-                           geom: DiscGeometry | None = None,
-                           spacing: float | None = None) -> float:
+def check_domain_condition(psi: SampledField, s: int, spacing: float | None = None) -> float:
     """Max over boundary nodes of |N^s(psi .| dbar rho)| via radial stencils."""
-    if isinstance(psi, FormPoly):
-        if geom is None:
-            geom = default_geometry()
-        psi = SampledField.from_polynomial(geom, psi.component((1,)))
     c = contraction_with_dbar_rho(psi)
     vals = normal_derivative(c, s, spacing=spacing)
     return float(np.max(np.abs(vals)))
 
 
-def domain_projection(phi: FormPoly, s: int, eps: float,
-                      geom: DiscGeometry | None = None) -> SampledField:
+def domain_projection(phi: FormPoly, s: int, eps: float, geom: DiscGeometry) -> SampledField:
     """Boundary-collar form psi with N^s((phi - psi) .| dbar rho) = 0 on bOmega.
 
     psi = c_s * (-rho)^s * cutoff(-rho/eps) * N^s(phi .| dbar rho) wedge dbar rho,
@@ -844,8 +828,6 @@ def domain_projection(phi: FormPoly, s: int, eps: float,
         raise ValueError("eps must lie in (0, 0.5)")
     if s < 1:
         raise ValueError("s must be positive")
-    if geom is None:
-        geom = default_geometry()
     comp = phi.component((1,))
     contraction = RadialFourierSum.from_cpolynomial(comp).phase_shift(-1).scale(0.5)
     g_vals = contraction.radial_derivative(s).sample(geom)

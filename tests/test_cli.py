@@ -399,9 +399,10 @@ def test_kop_honours_radial_nodes(tmp_path):
 
 
 TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
-# a coefficient whose exact results, or whose float, leave the float64 range
+# a coefficient whose exact results, or whose float, leave the float64 range, and
+# one below the smallest normal float64, whose rounded results lose their digits
 HUGE_FORMS = {f"f{c}.form": f"(form (n 1) (q 1) (comp (1) (term {c} 0 (z 1) (zbar 0))))"
-              for c in ("1e200", "1e400")}
+              for c in ("1e200", "1e400", "1e-320")}
 
 
 def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
@@ -452,9 +453,21 @@ def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
                  id="hodge-coefficient-1e400"),
     pytest.param(["kop", "--input", "{tmp}/f1e400.form"], HUGE_FORMS,
                  id="kop-coefficient-1e400"),
+    pytest.param(["canonical", "--s", "1", "--d", "12", "--f", "{tmp}/f1e-320.form"],
+                 HUGE_FORMS, id="canonical-coefficient-1e-320"),
+    pytest.param(["neumann", "--s", "1", "--d", "12", "--f", "{tmp}/f1e-320.form"], HUGE_FORMS,
+                 id="neumann-coefficient-1e-320"),
+    pytest.param(["hodge", "--s", "1", "--d", "12", "--f", "{tmp}/f1e-320.form"], HUGE_FORMS,
+                 id="hodge-coefficient-1e-320"),
+    pytest.param(["canonical", "--s", "1", "--d", "12"], {}, id="canonical-no-form-file"),
+    pytest.param(["canonical", "--f", "{tmp}/n2.form"],
+                 {"n2.form": "(form (n 2) (q 1) (comp (1) (term 1 0 (z 1 0) (zbar 0 0))))"},
+                 id="form-in-two-variables"),
     pytest.param(["--config", "{tmp}/missing.cfg", "identities"], {}, id="missing-config-file"),
     pytest.param(["--config", "{tmp}/run.cfg", "ellipticity"], {"run.cfg": "points = abc\n"},
                  id="config-value-not-int"),
+    pytest.param(["--config", "{tmp}/run.cfg", "ellipticity"], {"run.cfg": "points 5\n"},
+                 id="config-line-without-equals"),
     pytest.param(["--config", "{tmp}/run.cfg", "identities"],
                  {"run.cfg": "subcommand = greens\n"}, id="config-sets-subcommand"),
     pytest.param(["--config", "{tmp}/run.cfg", "greens"], {"run.cfg": "radial_nodes = 600\n"},
@@ -568,3 +581,12 @@ def test_verify_all_subset(tmp_path, capsys):
     assert "criterion  3" in captured and "criterion  4" in captured
     payload = json.loads(out.read_text())
     assert [r["criterion"] for r in payload["results"]] == [3, 4]
+
+
+def test_verify_all_verdicts_are_json_booleans(tmp_path):
+    # criterion 5's verdict was a numpy bool, which the record wrote as "True"
+    out = tmp_path / "verify.json"
+    assert main(["verify-all", "--criteria", "5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is True
+    assert [type(r["pass"]) for r in payload["results"]] == [bool]

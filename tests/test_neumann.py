@@ -211,7 +211,7 @@ def test_galerkin_solutions_match_exact_oracle(s, rng):
         cx = DiscreteComplex.build(d, s)
         f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
         canonical, neumann = exact_galerkin_solutions(f, d, s)
-        assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, canonical) <= 1e-14
+        assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, canonical) <= 1e-15
         assert relative_error(neumann_solve(f, cx=cx).coeffs, neumann) <= 1e-15
         g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
         for part, exact in zip(hodge_decompose(g, cx=cx), exact_hodge_split(g, d, s)):
@@ -233,9 +233,11 @@ def test_float_solves_at_the_degree_cap_match_the_exact_path(rng):
     f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
     exact = neumann_solve(exact_poly(f, cx.form_basis), cx=cx).coeffs
     assert relative_error(neumann_solve(f, cx=cx).coeffs, exact) <= 1e-15
+    exact = canonical_solve_dbar(exact_poly(f, cx.form_basis), cx=cx).coeffs
+    assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, exact) <= 1e-15
     g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
-    for part, exact in zip(hodge_decompose(g, cx=cx), hodge_decompose(exact_poly(g, cx.basis),
-                                                                        cx=cx)):
+    split = hodge_split(exact_poly(g, cx.basis), cx=cx)
+    for part, exact in zip(hodge_decompose(g, cx=cx), (split.range_part, split.orthogonal_part)):
         assert relative_error(part, exact) <= 1e-15
     assert np.all(np.isfinite(adjoint(cx.dbar_matrix, cx.gram, cx.form_gram).data))
 
@@ -583,14 +585,13 @@ def test_minors_route_rejects_non_positive_definite():
 def test_hodge_explicit_range(cx1):
     # f = dbar(zbar^2) = 2 zbar dzbar lies in the range
     f = FormPoly(1, 1, {(1,): CPolynomial.zbar(1, 1).scale(2)})
-    f1, f2 = hodge_decompose(f, cx=cx1)
-    assert cx1.gram.norm(f2) < 1e-10
-    assert cx1.gram.norm(f1) > 0
+    split = hodge_split(f, cx=cx1)
+    assert cx1.gram.norm(split.orthogonal_part) < 1e-10
+    assert cx1.gram.norm(split.range_part) > 0
 
 
 def test_hodge_dzbar(cx1):
-    f1, f2 = hodge_decompose(DZBAR, cx=cx1)
-    assert cx1.gram.norm(f2) < 1e-10
+    assert cx1.gram.norm(hodge_split(DZBAR, cx=cx1).orthogonal_part) < 1e-10
 
 
 def test_hodge_orthogonality_and_top_degree_artifact(cx1, rng):
@@ -628,7 +629,8 @@ def test_hodge_split_certificate_matches_the_fraction_oracle(d, s):
     assert (split.range_norm, split.orthogonal_norm, split.orthogonality_defect) == \
         exact_hodge_certificate(split.range_part, split.orthogonal_part, d, s)
     assert split.orthogonality_defect <= 1e-12
-    for part, expect in zip(hodge_decompose(phi, s=s, d=d),
+    of_component = hodge_split(phi.component((1,)), s=s, d=d)
+    for part, expect in zip((of_component.range_part, of_component.orthogonal_part),
                             (split.range_part, split.orthogonal_part)):
         assert np.array_equal(part, expect)
 
@@ -691,13 +693,14 @@ def test_domain_condition_flat_form(geom):
 def test_domain_condition_dzbar(geom):
     # contraction of dzbar is the r-independent phase: all normal derivatives 0
     for s in (1, 2):
-        assert check_domain_condition(DZBAR, s, geom) < 1e-8
+        psi = SampledField.from_polynomial(geom, DZBAR.component((1,)))
+        assert check_domain_condition(psi, s) < 1e-8
 
 
 def test_domain_condition_nonzero(geom):
     # psi = z dzbar has contraction r/2: N(r/2) = 1/2
-    psi = FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)})
-    val = check_domain_condition(psi, 1, geom)
+    psi = SampledField.from_polynomial(geom, CPolynomial.z(1, 1))
+    val = check_domain_condition(psi, 1)
     assert abs(val - 0.5) < 1e-8
 
 
