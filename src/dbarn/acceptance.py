@@ -4,7 +4,7 @@ Each criterion function takes a seed, runs its checks at the pinned
 tolerances, and returns a CriterionResult with scalar evidence.  The pytest
 acceptance module and the ``verify-all`` CLI subcommand both drive this
 table, so the gate is identical either way.  The pinned tolerances are
-defined here, once; the CLI records that report the same checks read them.
+``tolerances``'s, which the CLI records that report the same checks read too.
 """
 
 from __future__ import annotations
@@ -14,26 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bvp, ellipticity, forms, geometry, multiindex, neumann, sobolev
-
-DEFAULT_SEED = 20260314
-
-# Pinned tolerances: these do not move.
-INNER_REL_TOL = 1e-12          # criterion 6
-GREENS_TOL = 1e-10             # criterion 7, greens record
-ADJOINT_TOL = 1e-12            # criterion 8
-NEUMANN_TOL = 1e-8             # criteria 9 and 10, neumann record
-PROXY_VARIATION = 2.0          # criterion 9: max / min norm proxy over d = 10, 20, 40
-CANONICAL_TOL = 1e-10          # canonical record
-HODGE_TOL = 1e-10              # hodge record
-BLOWUP_SLOPE = (-0.35, -0.15)  # criterion 11, blowup record
-BLOWUP_NORM_RATIO = 1.5        # criterion 11, blowup record
-DOMAIN_TOL = 1e-5              # criterion 12
-K_INTERIOR_TOL = 1e-10         # criterion 13: K of an interior bump
-BESSEL_TOL = 1e-6              # criterion 13, kop record
-K_RATIO_SPREAD = 4.0           # criterion 13
-INTERVAL_TOL = 1e-10           # criterion 14, bvp1d record
-FD_RATIO = (3.5, 4.5)          # criterion 14, bvp1d record
+from . import bvp, ellipticity, exact, forms, geometry, multiindex, neumann, sobolev
+from .tolerances import (ADJOINT_TOL, BESSEL_TOL, BLOWUP_NORM_RATIO, BLOWUP_SLOPE, DEFAULT_SEED,
+                         DOMAIN_TOL, FD_RATIO, GREENS_TOL, INNER_REL_TOL, INTERVAL_TOL,
+                         K_INTERIOR_TOL, K_RATIO_SPREAD, NEUMANN_TOL, PROXY_VARIATION)
 
 
 @dataclass
@@ -278,13 +262,13 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_zbar = 0.0
     for s in (0, 1, 2):
         cx = neumann.DiscreteComplex.build(12, s)
-        sol = neumann.canonical_solve_dbar(f_const, cx=cx)
+        sol = exact.canonical_exact(f_const, s=s, d=12)
         expect = np.zeros(cx.basis.dim, dtype=complex)
         expect[cx.basis.index_of(0, 1)] = 1.0
         worst_zbar = max(worst_zbar, float(np.max(np.abs(sol.coeffs - expect))))
     cx0 = neumann.DiscreteComplex.build(12, 0)
     fz = forms.FormPoly(1, 1, {(1,): forms.CPolynomial.z(1, 1)})
-    sol = neumann.canonical_solve_dbar(fz, cx=cx0)
+    sol = exact.canonical_exact(fz, s=0, d=12)
     expect = np.zeros(cx0.basis.dim, dtype=complex)
     expect[cx0.basis.index_of(1, 1)] = 1.0
     expect[cx0.basis.index_of(0, 0)] = -0.5

@@ -16,6 +16,9 @@ at the end).  The CLI checks only its flags: a non-negative ``--seed`` and
 ``--points``, ordered ranges, ``--trials``, ``--criteria``, the form and config
 files and the kop memory caps (``CAPS``).  A log-spaced grid's ``--points``
 meets the library's sample limit before the grid is allocated.
+
+A handler imports the modules it runs, and numpy, when it runs, so the exact
+Galerkin commands (canonical, neumann, hodge) load neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
-import numpy as np
-
-from . import acceptance, bvp, ellipticity, forms, geometry, neumann
-from .acceptance import DEFAULT_SEED
+from . import exact, forms, tolerances
 from .sobolev import MonomialBasis
 
 SCHEMA_VERSION = 1
@@ -120,11 +121,16 @@ def _emit(args: argparse.Namespace, payload: dict, rows: list[dict] | None = Non
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     results = [acceptance.run_criterion(k, args.seed) for k in (1, 2, 3, 4)]
     return _emit(args, acceptance.results_payload(results))
 
 
 def _cmd_ellipticity(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import ellipticity
+
     _check_log_range("--xi-min", args.xi_min, "--xi-max", args.xi_max,
                      args.points, ellipticity.MAX_XI_SAMPLES)
     grid = np.logspace(math.log10(args.xi_min), math.log10(args.xi_max), args.points)
@@ -141,28 +147,34 @@ def _cmd_ellipticity(args: argparse.Namespace) -> int:
 
 
 def _cmd_bvp1d(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import bvp
+
     sol, err, errs = bvp.interval_experiment(args.s, np.random.default_rng(args.seed),
                                              (args.fd_nodes, 2 * args.fd_nodes))
     ratio = errs[0] / errs[1]
-    tol, (lo, hi) = acceptance.INTERVAL_TOL, acceptance.FD_RATIO
+    tol, (lo, hi) = tolerances.INTERVAL_TOL, tolerances.FD_RATIO
     payload = {
         "s": args.s,
         "manufactured_error": {"value": err, "tolerance": tol},
         "boundary_residual": {"value": sol.max_boundary_residual, "tolerance": tol},
         "collocation_condition": sol.condition,
-        "fd_convergence_ratio": {"value": ratio, "window": acceptance.FD_RATIO},
+        "fd_convergence_ratio": {"value": ratio, "window": tolerances.FD_RATIO},
         "pass": err <= tol and sol.max_boundary_residual <= tol and lo <= ratio <= hi,
     }
     return _emit(args, payload)
 
 
 def _cmd_kop(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import bvp, geometry
+
     _check_cap("--radial-nodes", args.radial_nodes, "radial_nodes")
     _check_cap("--angular-nodes", args.angular_nodes, "angular_nodes")
     geom = geometry.default_geometry(args.radial_nodes, args.angular_nodes,
                                      args.boundary_refine_depth)
     op = bvp.DiscKOperator(geom, mode_max=args.mode_max)
-    bessel_err, tol = op.bessel_oracle_error(), acceptance.BESSEL_TOL
+    bessel_err, tol = op.bessel_oracle_error(), tolerances.BESSEL_TOL
     payload = {
         "mode_max": op.mode_max,
         "bessel_oracle_error": {"value": bessel_err, "tolerance": tol},
@@ -187,26 +199,22 @@ def _cmd_kop(args: argparse.Namespace) -> int:
 FORM_COLUMNS = ("z_power", "zbar_power", "re", "im")
 
 
-def _form_rows(basis, coeffs: np.ndarray) -> list[dict]:
+def _form_rows(basis: MonomialBasis, coeffs: Sequence[complex]) -> list[dict]:
     """Every nonzero coefficient, since the certificates are exact on all of
     them: at high degree the ones below 1e-13 carry enough W^s norm to move the
     residual of a Neumann solution from 1e-15 to 1e-10."""
-    rows = []
-    for i, (a, b) in enumerate(basis.exponents):
-        c = complex(coeffs[i])
-        if c:
-            rows.append(dict(zip(FORM_COLUMNS, (a, b, c.real, c.imag))))
-    return rows
+    return [dict(zip(FORM_COLUMNS, (a, b, c.real, c.imag)))
+            for (a, b), c in zip(basis.exponents, coeffs) if c]
 
 
 # canonical, neumann and hodge take an exact form, so they solve exactly, one
 # charge block at a time, and certify the float64 coefficients they print
-# exactly (see neumann's exact per-charge solves).
+# exactly (see the module ``exact``).
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
-    sol = neumann.canonical_solve_dbar(_load_form(args), s=args.s, d=args.d)
-    rows, tol = _form_rows(MonomialBasis(args.d), sol.coeffs), acceptance.CANONICAL_TOL
+    sol = exact.canonical_exact(_load_form(args), s=args.s, d=args.d)
+    rows, tol = _form_rows(MonomialBasis(args.d), sol.coeffs), tolerances.CANONICAL_TOL
     payload = {
         "s": args.s, "d": args.d,
         "residual": {"value": sol.residual, "tolerance": tol},
@@ -218,8 +226,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_neumann(args: argparse.Namespace) -> int:
-    sol = neumann.neumann_solve(_load_form(args), s=args.s, d=args.d)
-    rows, tol = _form_rows(MonomialBasis(args.d - 1), sol.coeffs), acceptance.NEUMANN_TOL
+    sol = exact.neumann_exact(_load_form(args), s=args.s, d=args.d)
+    rows, tol = _form_rows(MonomialBasis(args.d - 1), sol.coeffs), tolerances.NEUMANN_TOL
     payload = {
         "s": args.s, "d": args.d,
         "residual": {"value": sol.residual, "tolerance": tol},
@@ -232,8 +240,8 @@ def _cmd_neumann(args: argparse.Namespace) -> int:
 
 
 def _cmd_hodge(args: argparse.Namespace) -> int:
-    split = neumann.hodge_split(_load_form(args), s=args.s, d=args.d)
-    basis, tol = MonomialBasis(args.d), acceptance.HODGE_TOL
+    split = exact.hodge_split(_load_form(args), s=args.s, d=args.d)
+    basis, tol = MonomialBasis(args.d), tolerances.HODGE_TOL
     parts = {"range": _form_rows(basis, split.range_part),
              "orthogonal": _form_rows(basis, split.orthogonal_part)}
     payload = {
@@ -250,6 +258,9 @@ def _cmd_hodge(args: argparse.Namespace) -> int:
 
 
 def _cmd_greens(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import neumann
+
     if not 1 <= args.trials <= MAX_GREENS_TRIALS:
         raise ValueError(f"--trials={args.trials} must lie in 1..{MAX_GREENS_TRIALS}")
     rng = np.random.default_rng(args.seed)
@@ -264,23 +275,26 @@ def _cmd_greens(args: argparse.Namespace) -> int:
                      "boundary_re": res.boundary.real, "residual": res.residual})
     payload = {
         "s": args.s, "trials": args.trials,
-        "max_residual": {"value": worst, "tolerance": acceptance.GREENS_TOL},
-        "pass": worst <= acceptance.GREENS_TOL,
+        "max_residual": {"value": worst, "tolerance": tolerances.GREENS_TOL},
+        "pass": worst <= tolerances.GREENS_TOL,
     }
     return _emit(args, payload, rows)
 
 
 def _cmd_blowup(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import neumann
+
     _check_log_range("--eps-min", args.eps_min, "--eps-max", args.eps_max,
                      args.points, neumann.MAX_BLOWUP_POINTS)
     eps_list = list(np.geomspace(args.eps_max, args.eps_min, args.points))
     rep = neumann.blowup_experiment(args.s, eps_list, delta=args.delta)
     rows = [{"eps": row.eps, "norm": row.norm, "pairing": row.pairing}
             for row in rep.rows]
-    (lo, hi), tol = acceptance.BLOWUP_SLOPE, acceptance.BLOWUP_NORM_RATIO
+    (lo, hi), tol = tolerances.BLOWUP_SLOPE, tolerances.BLOWUP_NORM_RATIO
     payload = {
         "s": args.s, "delta": args.delta, "test_form": rep.test_form,
-        "slope": {"value": rep.slope, "window": acceptance.BLOWUP_SLOPE},
+        "slope": {"value": rep.slope, "window": tolerances.BLOWUP_SLOPE},
         "norm_ratio": {"value": rep.norm_ratio, "tolerance": tol},
         "pairing_monotone": rep.pairing_monotone,
         "rows": rows,
@@ -290,6 +304,8 @@ def _cmd_blowup(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     if args.criteria:
         try:
             numbers = sorted({int(tok) for tok in args.criteria.split(",")})
@@ -365,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=blurb, formatter_class=_DefaultsHelpFormatter)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=int, default=tolerances.DEFAULT_SEED,
                        help="random seed, non-negative (recorded in output)")
         p.add_argument("--out", help="write the JSON record here")
         p.add_argument("--csv", dest="csv_out",

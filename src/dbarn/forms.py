@@ -38,9 +38,10 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Exponents = tuple[int, ...]
 BiExponent = tuple[Exponents, Exponents]
@@ -350,6 +351,8 @@ class CPolynomial:
 
     def eval(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at complex points; zs has shape (n, ...) or (...) when n == 1."""
+        import numpy as np  # on first use: the exact algebra never needs it
+
         zs = np.asarray(zs, dtype=complex)
         if self.n == 1 and zs.ndim >= 0 and (zs.ndim == 0 or zs.shape[0] != 1):
             zs = zs[None, ...]
@@ -588,6 +591,39 @@ def _parse_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
     return out, pos + 1
 
 
+def _text(node: object) -> str:
+    """A parsed node written back as text."""
+    return f"({' '.join(map(_text, node))})" if isinstance(node, list) else str(node)
+
+
+def _flat(node: object, head: str | None = None, size: int | None = None) -> bool:
+    """Whether node is a list of tokens, led by ``head`` and of ``size`` entries when given."""
+    return (isinstance(node, list) and all(isinstance(tok, str) for tok in node)
+            and (head is None or node[:1] == [head]) and (size is None or len(node) == size))
+
+
+def _malformed(node: object, shape: str) -> ValueError:
+    text = _text(node)
+    text = text if len(text) <= 60 else text[:56] + " ..."
+    return ValueError(f"malformed node {text}: expected {shape}")
+
+
+# far past float64's 1e+-308, so such coefficients still meet ``float_range_error``
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def _number(tok: str) -> Fraction:
+    """Fraction(tok), refused before it is built when the decimal exponent of tok lies
+    beyond +-MAX_DECIMAL_EXPONENT: Fraction would build 10**exponent, unbounded."""
+    try:
+        huge = abs(int(tok.lower().partition("e")[2])) > MAX_DECIMAL_EXPONENT
+    except ValueError:  # no exponent, or one Fraction refuses too
+        huge = False
+    if huge:
+        raise ValueError(f"the decimal exponent of {tok} lies beyond +-{MAX_DECIMAL_EXPONENT}")
+    return Fraction(tok)
+
+
 def form_from_text(text: str) -> FormPoly:
     tokens = _tokenize(text)
     tree, end = _parse_sexp(tokens, 0)
@@ -600,26 +636,26 @@ def form_from_text(text: str) -> FormPoly:
     for node in tree[1:]:
         if not isinstance(node, list) or not node:
             raise ValueError(f"unexpected node {node!r}")
+        if node[0] in ("n", "q") and not _flat(node, size=2):
+            raise _malformed(node, f"({node[0]} <integer>)")
         if node[0] == "n":
             n = int(node[1])
         elif node[0] == "q":
             q = int(node[1])
         elif node[0] == "comp":
+            if len(node) < 2 or not _flat(node[1]):
+                raise _malformed(node, "(comp (<index> ...) <term> ...)")
             if n is None or q is None:
                 raise ValueError("(n ..) and (q ..) must precede components")
             J = tuple(int(tok) for tok in node[1])
             terms: dict[BiExponent, CRational] = {}
             for term in node[2:]:
-                if term[0] != "term":
-                    raise ValueError(f"expected (term ...), got {term!r}")
-                re_part, im_part = Fraction(term[1]), Fraction(term[2])
-                zs = term[3]
-                zbs = term[4]
-                if zs[0] != "z" or zbs[0] != "zbar":
-                    raise ValueError("term needs (z ...) and (zbar ...) exponent lists")
-                a = tuple(int(tok) for tok in zs[1:])
-                b = tuple(int(tok) for tok in zbs[1:])
-                c = CRational(re_part, im_part)
+                if not (isinstance(term, list) and len(term) == 5 and _flat(term[:3], "term")
+                        and _flat(term[3], "z") and _flat(term[4], "zbar")):
+                    raise _malformed(term, "(term <re> <im> (z ...) (zbar ...))")
+                c = CRational(_number(term[1]), _number(term[2]))
+                a = tuple(int(tok) for tok in term[3][1:])
+                b = tuple(int(tok) for tok in term[4][1:])
                 if not c.is_zero():
                     terms[(a, b)] = terms.get((a, b), QC_ZERO) + c
             # a repeated component adds to the first, as a repeated term does

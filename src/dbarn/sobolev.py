@@ -12,7 +12,8 @@ rational multiple of pi:
                                               = 0                     otherwise.
 
 Everything is computed in exact rational arithmetic first (the pi factor kept
-symbolic) and converted to floats only when a Gram matrix is materialized.
+symbolic) and converted to floats only when a Gram matrix is materialized;
+numpy is imported there, on first use, so the exact solvers never load it.
 The gamma weights make the inner product rotation invariant, so monomials
 with different charge a - b are orthogonal and the Gram matrix splits into
 charge blocks.  The order-k weighted derivative sum collapses to
@@ -36,11 +37,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .forms import CPolynomial, CRational
 from .multiindex import gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_S = 4
 MAX_DIM = 2000
@@ -76,6 +79,7 @@ class MonomialBasis:
         return d * (d + 1) // 2 + b
 
     def coefficients_of(self, p: CPolynomial) -> np.ndarray:
+        import numpy as np
         if p.n != 1:
             raise ValueError("basis handles one complex variable")
         out = np.zeros(self.dim, dtype=complex)
@@ -164,6 +168,7 @@ def inner_s_recursive(f: CPolynomial, g: CPolynomial, s: int) -> complex:
 def real_matvec(mat, u: np.ndarray) -> np.ndarray:
     """mat @ u for a real (dense or sparse) matrix and a real or complex vector, as one
     real product on the (re, im) columns of u: mat is never cast to a complex copy."""
+    import numpy as np
     u = np.ascontiguousarray(u, dtype=np.result_type(np.asarray(u), float))
     return (mat @ u.view(float).reshape(len(u), -1)).view(u.dtype).ravel()
 
@@ -171,7 +176,7 @@ def real_matvec(mat, u: np.ndarray) -> np.ndarray:
 class SobolevGram:
     """The W^s Gram of one (degree, s), and the store of its exact charge blocks.
 
-    ``block(charge)``, ``neumann``'s fraction-free LU ``factors`` of the blocks (every
+    ``block(charge)``, ``exact``'s fraction-free LU ``factors`` of the blocks (every
     exact solve substitutes against them) and its per-charge ``setups``, and the dense
     float64 ``matrix`` are each built on first read and kept until the Gram cache drops
     the object, so an exact computation never allocates the matrix.
@@ -181,8 +186,8 @@ class SobolevGram:
     def __init__(self, s: int, basis: MonomialBasis):
         self.s, self.basis = s, basis
         self._blocks: dict[int, tuple[list[list[int]], int]] = {}
-        self.factors: dict = {}  # charge -> neumann's fraction-free LU of block(charge)
-        self.setups: dict = {}  # form charge -> neumann's exact set-up
+        self.factors: dict = {}  # charge -> exact's fraction-free LU of block(charge)
+        self.setups: dict = {}  # form charge -> exact's set-up
         self.operators: tuple | None = None
 
     @property
@@ -200,6 +205,7 @@ class SobolevGram:
     def matrix(self) -> np.ndarray:
         """The dense Gram.  An int quotient is correctly rounded, so ``row_entry / den``
         is the float of the reduced fraction."""
+        import numpy as np
         basis = self.basis
         mat = np.zeros((basis.dim, basis.dim), dtype=float)
         for charge in range(-basis.degree, basis.degree + 1):
@@ -221,6 +227,7 @@ class SobolevGram:
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v>_s for coefficient vectors over the basis."""
+        import numpy as np
         return complex(np.vdot(v, real_matvec(self.matrix, u)))
 
     def norm(self, u: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dbarn import acceptance
+from dbarn import tolerances
 from dbarn.acceptance import CRITERIA, DEFAULT_SEED, run_criterion
 
 
@@ -31,11 +31,11 @@ def test_pinned_tolerances_equal_the_benchmark_copies():
     values = {node.targets[0].id: node.value for node in ast.parse(CHECKS.read_text()).body
               if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
     for name in SHARED:
-        assert getattr(acceptance, name) == ast.literal_eval(values[name]), name
+        assert getattr(tolerances, name) == ast.literal_eval(values[name]), name
     assert ast.literal_eval(values["CLI_TOLERANCES"]) == {
-        "canonical": {"residual": acceptance.CANONICAL_TOL,
-                      "kernel_orthogonality": acceptance.CANONICAL_TOL},
-        "neumann": {"residual": acceptance.NEUMANN_TOL,
-                    "canonical_match": acceptance.NEUMANN_TOL},
-        "hodge": {"orthogonality_defect": acceptance.HODGE_TOL},
+        "canonical": {"residual": tolerances.CANONICAL_TOL,
+                      "kernel_orthogonality": tolerances.CANONICAL_TOL},
+        "neumann": {"residual": tolerances.NEUMANN_TOL,
+                    "canonical_match": tolerances.NEUMANN_TOL},
+        "hodge": {"orthogonality_defect": tolerances.HODGE_TOL},
     }

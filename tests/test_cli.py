@@ -22,6 +22,7 @@ from dbarn.bvp import (
 )
 from dbarn.cli import CAPS, MAX_GREENS_TRIALS, _set_config_defaults, build_parser, main
 from dbarn.ellipticity import MAX_CERTIFY_S, MAX_XI_SAMPLES, XI_RANGE
+from dbarn.exact import MAX_NEUMANN_D, MAX_NEUMANN_S
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
 from dbarn.geometry import (
     MAX_REFINE_DEPTH,
@@ -36,8 +37,6 @@ from dbarn.neumann import (
     BLOWUP_S,
     MAX_BLOWUP_POINTS,
     MAX_GREENS_S,
-    MAX_NEUMANN_D,
-    MAX_NEUMANN_S,
 )
 from dbarn.sobolev import MonomialBasis
 from oracles import (
@@ -207,16 +206,30 @@ def fresh_interpreter_env() -> dict:
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
 
 
+# what the exact Galerkin commands do not run: numpy, scipy (each with its
+# submodules) and the float, sampled-grid and acceptance modules
+NOT_RUN = ("numpy", "scipy", "dbarn.neumann", "dbarn.geometry", "dbarn.bvp",
+           "dbarn.ellipticity", "dbarn.acceptance")
+
+
 @pytest.mark.parametrize("command", ["canonical", "neumann", "hodge"])
-def test_galerkin_commands_load_no_scipy(form_file, command):
+def test_galerkin_commands_load_no_numpy(form_file, command):
     code = ("import sys\n"
             "from dbarn.cli import main\n"
             f"code = main([{command!r}, '--s', '2', '--d', '40', '--f', {str(form_file)!r}])\n"
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            f"loaded = sorted(m for m in sys.modules if m in {NOT_RUN!r}\n"
+            f"                or m.partition('.')[0] in {NOT_RUN!r})\n"
             "assert code == 0 and not loaded, loaded\n")
     done = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, dbarn; print(sorted(m for m in sys.modules if m.startswith('dbarn.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stdout + done.stderr
 
 
 def test_closed_pipe_ends_without_a_traceback():
@@ -400,9 +413,10 @@ def test_kop_honours_radial_nodes(tmp_path):
 
 TRUNCATED_FORM = "(form (n 1) (q 1)\n  (comp (1)\n    (term 1 0 (z 1)"
 # a coefficient whose exact results, or whose float, leave the float64 range, and
-# one below the smallest normal float64, whose rounded results lose their digits
+# one below the smallest normal float64, whose rounded results lose their digits;
+# a decimal exponent past the parser's limit is refused before 10**exponent is built
 HUGE_FORMS = {f"f{c}.form": f"(form (n 1) (q 1) (comp (1) (term {c} 0 (z 1) (zbar 0))))"
-              for c in ("1e200", "1e400", "1e-320")}
+              for c in ("1e200", "1e400", "1e-320", "1e999999999", "1e-999999999")}
 
 
 def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
@@ -459,6 +473,24 @@ def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
                  id="neumann-coefficient-1e-320"),
     pytest.param(["hodge", "--s", "1", "--d", "12", "--f", "{tmp}/f1e-320.form"], HUGE_FORMS,
                  id="hodge-coefficient-1e-320"),
+    pytest.param(["canonical", "--s", "1", "--d", "12", "--f", "{tmp}/f1e999999999.form"],
+                 HUGE_FORMS, id="canonical-exponent-999999999"),
+    pytest.param(["neumann", "--s", "1", "--d", "12", "--f", "{tmp}/f1e999999999.form"],
+                 HUGE_FORMS, id="neumann-exponent-999999999"),
+    pytest.param(["hodge", "--s", "1", "--d", "12", "--f", "{tmp}/f1e999999999.form"],
+                 HUGE_FORMS, id="hodge-exponent-999999999"),
+    pytest.param(["neumann", "--s", "1", "--d", "12", "--f", "{tmp}/f1e-999999999.form"],
+                 HUGE_FORMS, id="neumann-exponent-minus-999999999"),
+    pytest.param(["kop", "--input", "{tmp}/f1e999999999.form"], HUGE_FORMS,
+                 id="kop-exponent-999999999"),
+    pytest.param(["canonical", "--f", "{tmp}/n.form"], {"n.form": "(form (n) (q 1))"},
+                 id="form-n-without-value"),
+    pytest.param(["neumann", "--f", "{tmp}/term.form"],
+                 {"term.form": "(form (n 1) (q 1) (comp (1) (term 1)))"},
+                 id="form-term-without-parts"),
+    pytest.param(["hodge", "--f", "{tmp}/comp.form"],
+                 {"comp.form": "(form (n 1) (q 1) (comp 1 (term 1 0 (z 1) (zbar 0))))"},
+                 id="form-index-not-a-list"),
     pytest.param(["canonical", "--s", "1", "--d", "12"], {}, id="canonical-no-form-file"),
     pytest.param(["canonical", "--f", "{tmp}/n2.form"],
                  {"n2.form": "(form (n 2) (q 1) (comp (1) (term 1 0 (z 1 0) (zbar 0 0))))"},

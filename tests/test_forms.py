@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dbarn.forms import (
+    MAX_DECIMAL_EXPONENT,
     CPolynomial,
     CRational,
     FormPoly,
@@ -336,3 +338,35 @@ def test_form_text_rejects_garbage():
         form_from_text("(shape (n 1))")
     with pytest.raises(ValueError):
         form_from_text("(form (q 1) (comp (1) (term 1 0 (z 1) (zbar 0))))")
+
+
+@pytest.mark.parametrize("text,node", [
+    ("(form (n) (q 1))", "(n)"),
+    ("(form (n 1 2) (q 1))", "(n 1 2)"),
+    ("(form (n 1) (q (1)))", "(q (1))"),
+    ("(form (n 1) (q 1) (comp))", "(comp)"),
+    # an index written without its parentheses, once read digit by digit as (1, 2)
+    ("(form (n 2) (q 2) (comp 12 (term 1 0 (z 1 0) (zbar 0 0))))", "(comp 12 (term"),
+    ("(form (n 1) (q 1) (comp (1) (term 1)))", "(term 1)"),
+    ("(form (n 1) (q 1) (comp (1) (term 1 0 (z 1) (zbar 0) (z 1))))", "(term 1 0 (z 1)"),
+    ("(form (n 1) (q 1) (comp (1) (term 1 0 (z (1)) (zbar 0))))", "(term 1 0 (z (1))"),
+    ("(form (n 1) (q 1) (comp (1) (term 1 0 (zbar 0) (z 1))))", "(term 1 0 (zbar 0)"),
+    ("(form (n 1) (q 1) (comp (1) x))", "x"),
+])
+def test_form_text_names_a_malformed_node(text, node):
+    with pytest.raises(ValueError, match=re.escape(f"malformed node {node}")):
+        form_from_text(text)
+
+
+def test_form_text_refuses_a_decimal_exponent_past_its_limit():
+    # Fraction would build 10**999999999 first; the refusal comes before it
+    def parse(c: str) -> FormPoly:
+        return form_from_text(f"(form (n 1) (q 1) (comp (1) (term {c} 0 (z 1) (zbar 0))))")
+
+    for c in ("1e999999999", "1E-999999999", f"2.5e+{MAX_DECIMAL_EXPONENT + 1}"):
+        with pytest.raises(ValueError, match=f"decimal exponent of {re.escape(c)}"):
+            parse(c)
+    # at the limit, and past float64's range, a number is still read exactly
+    top = parse(f"1e{MAX_DECIMAL_EXPONENT}").component((1,)).terms[((1,), (0,))].re
+    assert top == 10**MAX_DECIMAL_EXPONENT
+    assert parse("1e-320").component((1,)).terms[((1,), (0,))].re == Fraction(1, 10**320)

@@ -4,20 +4,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dbarn import neumann, sobolev
-from dbarn.forms import CPolynomial, CRational, FormPoly, random_cpolynomial
-from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
-from dbarn.neumann import (
-    MAX_BLOWUP_POINTS,
-    DiscreteComplex,
+from dbarn import sobolev
+from dbarn.exact import (
     _factor,
     _integer_rows,
-    _kernel_cosine,
     _lu,
     _normal_solution,
     _Scaled,
     _setup,
     _substitute,
+    canonical_exact,
+    hodge_split,
+    neumann_exact,
+    neumann_operator_norm_proxy_exact,
+    verify_gram_positive_definite_exact,
+)
+from dbarn.forms import CPolynomial, CRational, FormPoly, random_cpolynomial
+from dbarn.geometry import SampledField, default_geometry, ws_norm_sampled
+from dbarn.neumann import (
+    MAX_BLOWUP_POINTS,
+    DiscreteComplex,
+    _kernel_cosine,
     adjoint,
     blowup_experiment,
     canonical_solve_dbar,
@@ -25,10 +32,7 @@ from dbarn.neumann import (
     domain_projection,
     greens_identity_check,
     hodge_decompose,
-    hodge_split,
-    neumann_operator_norm_proxy_exact,
     neumann_solve,
-    verify_gram_positive_definite_exact,
 )
 from dbarn.sobolev import MonomialBasis, SobolevGram, cached_gram, charge_exponents
 from oracles import (
@@ -79,7 +83,7 @@ def test_degree_caps():
     pytest.param(lambda: neumann_operator_norm_proxy_exact(41, 1), "1..40", id="proxy-d-41"),
     pytest.param(lambda: neumann_solve(np.ones(3)), "missing s", id="neumann-no-size"),
     pytest.param(lambda: neumann_solve(np.ones(3), s=1), "missing d", id="neumann-no-d"),
-    pytest.param(lambda: canonical_solve_dbar(DZBAR, d=4), "missing s", id="canonical-form-no-s"),
+    pytest.param(lambda: canonical_exact(DZBAR, d=4), "missing s", id="canonical-form-no-s"),
     pytest.param(lambda: hodge_decompose(np.ones(15), d=4), "missing s", id="hodge-no-s"),
 ])
 def test_exact_entry_points_check_their_size(call, match):
@@ -137,7 +141,7 @@ def test_canonical_zero(cx1):
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_canonical_dzbar_is_zbar(s):
     cx = DiscreteComplex.build(12, s)
-    sol = canonical_solve_dbar(DZBAR, cx=cx)
+    sol = canonical_exact(DZBAR, s=s, d=12)
     expect = np.zeros(cx.basis.dim, dtype=complex)
     expect[cx.basis.index_of(0, 1)] = 1.0
     assert np.max(np.abs(sol.coeffs - expect)) < 1e-8
@@ -148,7 +152,7 @@ def test_canonical_dzbar_is_zbar(s):
 def test_canonical_z_dzbar():
     cx = DiscreteComplex.build(12, 0)
     f = FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)})
-    sol = canonical_solve_dbar(f, cx=cx)
+    sol = canonical_exact(f, s=0, d=12)
     expect = np.zeros(cx.basis.dim, dtype=complex)
     expect[cx.basis.index_of(1, 1)] = 1.0
     expect[cx.basis.index_of(0, 0)] = -0.5
@@ -171,7 +175,7 @@ def test_canonical_at_the_degree_cap_needs_no_factorization(s, rng):
         cx.gram.cholesky()
     for f in (DZBAR, FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}),
               FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 6)})):
-        sol = canonical_solve_dbar(f, cx=cx)
+        sol = canonical_exact(f, s=s, d=40)
         assert sol.residual < 1e-10
         assert sol.kernel_orthogonality < 1e-10
 
@@ -231,12 +235,12 @@ def test_float_solves_at_the_degree_cap_match_the_exact_path(rng):
     # the exact per-charge solves of the same (dyadic) coefficients
     cx = DiscreteComplex.build(40, 1)
     f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
-    exact = neumann_solve(exact_poly(f, cx.form_basis), cx=cx).coeffs
+    exact = neumann_exact(exact_poly(f, cx.form_basis), s=1, d=40).coeffs
     assert relative_error(neumann_solve(f, cx=cx).coeffs, exact) <= 1e-15
-    exact = canonical_solve_dbar(exact_poly(f, cx.form_basis), cx=cx).coeffs
+    exact = canonical_exact(exact_poly(f, cx.form_basis), s=1, d=40).coeffs
     assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, exact) <= 1e-15
     g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
-    split = hodge_split(exact_poly(g, cx.basis), cx=cx)
+    split = hodge_split(exact_poly(g, cx.basis), s=1, d=40)
     for part, exact in zip(hodge_decompose(g, cx=cx), (split.range_part, split.orthogonal_part)):
         assert relative_error(part, exact) <= 1e-15
     assert np.all(np.isfinite(adjoint(cx.dbar_matrix, cx.gram, cx.form_gram).data))
@@ -341,7 +345,7 @@ def factor_calls(monkeypatch):
         calls.append(rows)
         return _lu(rows)
 
-    monkeypatch.setattr(neumann, "_lu", counted)
+    monkeypatch.setattr("dbarn.exact._lu", counted)
     return calls
 
 
@@ -354,7 +358,7 @@ def substitute_calls(monkeypatch):
         calls.append(len(rhs))
         return _substitute(lu, rhs)
 
-    monkeypatch.setattr(neumann, "_substitute", counted)
+    monkeypatch.setattr("dbarn.exact._substitute", counted)
     return calls
 
 
@@ -386,8 +390,8 @@ def test_each_block_is_factored_at_most_once(cold_store, factor_calls, rng):
     phi = FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 5)})
     cx = DiscreteComplex.build(12, 1)
     for _ in range(2):
-        neumann_solve(phi, cx=cx)
-        hodge_split(phi, cx=cx)
+        neumann_exact(phi, s=1, d=12)
+        hodge_split(phi, s=1, d=12)
         neumann_operator_norm_proxy_exact(12, 1)
         verify_gram_positive_definite_exact(12, 1)
         neumann_solve(np.ones(cx.form_basis.dim), cx=cx)  # the float operators
@@ -397,9 +401,9 @@ def test_each_block_is_factored_at_most_once(cold_store, factor_calls, rng):
 
 def test_a_repeated_exact_solve_runs_no_factorization(cold_store, factor_calls):
     z_dzbar = FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)})
-    first = neumann_solve(z_dzbar, s=2, d=40)
+    first = neumann_exact(z_dzbar, s=2, d=40)
     assert len(factor_calls) == 2  # the blocks of charges 1 and 0
-    assert np.array_equal(neumann_solve(z_dzbar, s=2, d=40).coeffs, first.coeffs)
+    assert np.array_equal(neumann_exact(z_dzbar, s=2, d=40).coeffs, first.coeffs)
     assert len(factor_calls) == 2
     split = hodge_split(z_dzbar, s=2, d=40)
     assert len(factor_calls) == 2  # charge 1's factor again
@@ -424,8 +428,8 @@ def test_exact_entry_points_build_no_dense_matrix(cold_store, rng):
     phi = FormPoly.from_components(1, 1, {(1,): random_cpolynomial(rng, 1, 5)})
     neumann_operator_norm_proxy_exact(12, 1)
     verify_gram_positive_definite_exact(12, 1)
-    canonical_solve_dbar(phi, s=1, d=12)
-    neumann_solve(phi, s=1, d=12)
+    canonical_exact(phi, s=1, d=12)
+    neumann_exact(phi, s=1, d=12)
     hodge_split(phi, s=1, d=12)
     assert list(sobolev._GRAM_CACHE) == [(12, 1)]
     assert "matrix" not in vars(sobolev._GRAM_CACHE[(12, 1)])
@@ -433,7 +437,7 @@ def test_exact_entry_points_build_no_dense_matrix(cold_store, rng):
 
 def test_a_one_charge_form_builds_only_its_charges(cold_store):
     # z dzbar has charge 1: its set-up reads the blocks of charges 1 and 0
-    neumann_solve(FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}), s=2, d=40)
+    neumann_exact(FormPoly(1, 1, {(1,): CPolynomial.z(1, 1)}), s=2, d=40)
     store = sobolev._GRAM_CACHE[(40, 2)]
     assert list(store.setups) == [1]
     assert sorted(store._blocks) == sorted(store.factors) == [0, 1]
@@ -585,13 +589,13 @@ def test_minors_route_rejects_non_positive_definite():
 def test_hodge_explicit_range(cx1):
     # f = dbar(zbar^2) = 2 zbar dzbar lies in the range
     f = FormPoly(1, 1, {(1,): CPolynomial.zbar(1, 1).scale(2)})
-    split = hodge_split(f, cx=cx1)
+    split = hodge_split(f, s=1, d=12)
     assert cx1.gram.norm(split.orthogonal_part) < 1e-10
     assert cx1.gram.norm(split.range_part) > 0
 
 
 def test_hodge_dzbar(cx1):
-    assert cx1.gram.norm(hodge_split(DZBAR, cx=cx1).orthogonal_part) < 1e-10
+    assert cx1.gram.norm(hodge_split(DZBAR, s=1, d=12).orthogonal_part) < 1e-10
 
 
 def test_hodge_orthogonality_and_top_degree_artifact(cx1, rng):

@@ -6,6 +6,7 @@ import dbarn
 # Reached from outside src, so no src reference is expected.
 CALLED_FROM_OUTSIDE = {
     "hodge_decompose",  # perfbench's galerkin_session workload solves through it
+    "canonical_solve_dbar",  # likewise; forms go through exact.canonical_exact
     "SobolevGram.cholesky",  # perfbench's galerkin_session set-up factors each Gram
     "MonomialBasis.coefficients_of",  # perfbench/tests reads input coefficients with it
     "form_to_text",  # the README's round trip with form_from_text
