@@ -44,18 +44,17 @@ from functools import wraps
 from operator import mul
 from typing import Sequence
 
-from .forms import CRational, FormPoly, QC_ZERO, float_range_error
-from .sobolev import MonomialBasis, SobolevGram, cached_gram, charge_exponents
+from .forms import CRational, QC_ZERO, float_range_error
+from .sobolev import MAX_S, MonomialBasis, SobolevGram, cached_gram, charge_exponents
 
-MAX_NEUMANN_S = 2
 MAX_NEUMANN_D = 40
 
 
 def _check_size(d: int | None, s: int | None) -> None:
     if s is None or d is None:
         raise ValueError(f"missing {'s' if s is None else 'd'}: give s and d")
-    if not 0 <= s <= MAX_NEUMANN_S:
-        raise ValueError(f"s must lie in 0..{MAX_NEUMANN_S}")
+    if not 0 <= s <= MAX_S:
+        raise ValueError(f"s must lie in 0..{MAX_S}")
     if not 1 <= d <= MAX_NEUMANN_D:
         raise ValueError(f"basis degree must lie in 1..{MAX_NEUMANN_D}")
 
@@ -333,7 +332,7 @@ def _checked(exact_solve):
     @wraps(exact_solve)
     def solve(f, s: int | None = None, d: int | None = None):
         _check_size(d, s)
-        comp = f.component((1,)) if isinstance(f, FormPoly) else f
+        comp = f.component((1,))
         top = max((abs(x) for pair in comp.num.values() for x in pair), default=0)
         if 0 < Fraction(top, comp.den) < sys.float_info.min:
             raise float_range_error(comp)
@@ -346,9 +345,8 @@ def _checked(exact_solve):
 
 def _charges_of(f, max_degree: int) -> tuple[dict[int, dict[tuple[int, int], tuple[int, int]]],
                                               int]:
-    """The integer numerators of a (0,1)-form or polynomial in one variable, grouped
-    by charge, and their common denominator."""
-    comp = f.component((1,)) if isinstance(f, FormPoly) else f
+    """The integer numerators of a (0,1)-form, grouped by charge, and their common denominator."""
+    comp = f.component((1,))
     if comp.n != 1:
         raise ValueError("the disc complex takes forms in one complex variable")
     if comp.degree() > max_degree:
@@ -376,9 +374,8 @@ def _place(out: list[complex], basis: MonomialBasis, exps: list[tuple[int, int]]
 
 @_checked
 def canonical_exact(f, s: int, d: int) -> LeastNormSolution:
-    """The least-W^s-norm solution of dbar u = f for a form or polynomial f of degree
-    <= d-1, orthogonal to the holomorphics: the closed form of
-    ``_ChargeSetup.least_norm`` in exact arithmetic, rounded.
+    """The least-W^s-norm solution of dbar u = f for a form f of degree <= d-1, orthogonal to
+    the holomorphics: the closed form of ``_ChargeSetup.least_norm``, exact, then rounded.
 
     The certificates are exact on the returned float64 coefficients u:
     the residual |A u - f|_s / |f|_s, and the kernel orthogonality
@@ -410,7 +407,7 @@ def canonical_exact(f, s: int, d: int) -> LeastNormSolution:
 
 @_checked
 def neumann_exact(f, s: int, d: int) -> NeumannSolution:
-    """The solution u of dbar dbar* u = f for a form or polynomial f of degree <= d-1:
+    """The solution u of dbar dbar* u = f for a form f of degree <= d-1:
     per charge kappa, G_form u = Y f by substitution against block kappa's factor,
     for the real and imaginary parts (see ``neumann.neumann_solve``).
 

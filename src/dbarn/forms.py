@@ -584,10 +584,12 @@ def _parse_sexp(tokens: list[str], pos: int) -> tuple[object, int]:
     if tokens[pos] != "(":
         return tokens[pos], pos + 1
     out: list[object] = []
-    pos += 1
-    while tokens[pos] != ")":
+    start, pos = pos, pos + 1
+    while pos < len(tokens) and tokens[pos] != ")":
         node, pos = _parse_sexp(tokens, pos)
         out.append(node)
+    if pos == len(tokens):  # the text ends inside this node
+        raise ValueError(f"the ( number {tokens[:start].count('(') + 1} has no matching )")
     return out, pos + 1
 
 
@@ -626,6 +628,8 @@ def _number(tok: str) -> Fraction:
 
 def form_from_text(text: str) -> FormPoly:
     tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("the form text is empty")
     tree, end = _parse_sexp(tokens, 0)
     if end != len(tokens):
         raise ValueError("trailing tokens after form expression")

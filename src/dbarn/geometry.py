@@ -434,7 +434,7 @@ def ws_inner_sampled(f: SampledField, g: SampledField, s: int) -> complex:
     its grid's workspace (``DiscGeometry.ws_workspace``); a g that is not f
     walks its terms in lockstep through buffers of its own.
     """
-    if s not in (0, 1, 2):
+    if s not in (0, 1, 2):  # ``_ws_terms`` writes out the derivative terms to order 2
         raise ValueError("sampled W^s inner products support s in {0, 1, 2}")
     fs = _ws_terms(f, s, f.geom.ws_workspace(s))
     if g is f:

@@ -56,6 +56,7 @@ from .geometry import (
 )
 from .multiindex import gamma
 from .sobolev import (
+    MAX_S,
     MonomialBasis,
     SobolevGram,
     assemble_gram,
@@ -64,8 +65,7 @@ from .sobolev import (
     real_matvec,
 )
 
-MAX_GREENS_S = 2
-BLOWUP_S = (1, 2)
+BLOWUP_S = (1, 2)  # the cap family's radial derivatives are written out to order 2
 BLOWUP_EPS = (2.0**-12, 2.0**-3)
 MAX_BLOWUP_POINTS = 32
 # the cutoff lies inside the disc and is no finer than the smallest eps resolved
@@ -281,22 +281,21 @@ class GreensIdentityResult:
     residual: float
 
 
-def greens_identity_check(phi: CPolynomial, psi: FormPoly | CPolynomial,
-                          s: int) -> GreensIdentityResult:
-    """Check <dbar phi, psi>_s = <phi, theta psi>_s + weighted boundary pairing.
+def greens_identity_check(phi: CPolynomial, psi: CPolynomial, s: int) -> GreensIdentityResult:
+    """Check <dbar phi, psi>_s = <phi, theta psi>_s + weighted boundary pairing for the
+    (0,1)-form psi dzbar, given by its component polynomial psi.
 
     All three pieces are computed independently in exact rational arithmetic
     (interior: disc monomial integrals; boundary: circle monomial integrals),
     so the residual is pure floating-point conversion noise.
     """
-    if not 0 <= s <= MAX_GREENS_S:
-        raise ValueError(f"the exact identity check supports s in 0..{MAX_GREENS_S}")
-    psi1 = psi.component((1,)) if isinstance(psi, FormPoly) else psi
-    lhs = inner_s_exact(phi.diff_zbar(1), psi1, s)
-    interior = inner_s_exact(phi, -psi1.diff_z(1), s)
+    if not 0 <= s <= MAX_S:
+        raise ValueError(f"the exact identity check supports s in 0..{MAX_S}")
+    lhs = inner_s_exact(phi.diff_zbar(1), psi, s)
+    interior = inner_s_exact(phi, -psi.diff_z(1), s)
     half_z = CPolynomial.monomial(1, (1,), (0,), CRational.of(Fraction(1, 2)))
     boundary = QC_ZERO
-    dpsi = psi1.real_derivatives(s)
+    dpsi = psi.real_derivatives(s)
     for alpha, dphi in phi.real_derivatives(s).items():
         integrand = dphi * dpsi[alpha].conjugate() * half_z
         boundary = boundary + _circle_integral_exact(integrand).scale(gamma(alpha))

@@ -22,7 +22,7 @@ from dbarn.bvp import (
 )
 from dbarn.cli import CAPS, MAX_GREENS_TRIALS, _set_config_defaults, build_parser, main
 from dbarn.ellipticity import MAX_CERTIFY_S, MAX_XI_SAMPLES, XI_RANGE
-from dbarn.exact import MAX_NEUMANN_D, MAX_NEUMANN_S
+from dbarn.exact import MAX_NEUMANN_D
 from dbarn.forms import CPolynomial, CRational, FormPoly, form_to_text
 from dbarn.geometry import (
     MAX_REFINE_DEPTH,
@@ -36,9 +36,8 @@ from dbarn.neumann import (
     BLOWUP_EPS,
     BLOWUP_S,
     MAX_BLOWUP_POINTS,
-    MAX_GREENS_S,
 )
-from dbarn.sobolev import MonomialBasis
+from dbarn.sobolev import MAX_S, MonomialBasis
 from oracles import (
     exact_galerkin_solutions,
     exact_hodge_split,
@@ -164,7 +163,7 @@ def test_galerkin_commands_pass_across_the_cap_grid(tmp_path, capsys, command, d
     top = d if command == "hodge" else d - 1  # highest form degree the command takes
     rng = np.random.default_rng(1000 + d)
     readme = CPolynomial.z(1, 1) if top >= 1 else CPolynomial.const(1, 1)  # z dzbar
-    for s in range(MAX_NEUMANN_S + 1):
+    for s in range(MAX_S + 1):
         for phi in (seeded_form(rng, top, 4, dyadic=False), FormPoly(1, 1, {(1,): readme})):
             payload = run_record(tmp_path, command, s, d, phi)
             for key in ("residual", "kernel_orthogonality", "canonical_match",
@@ -495,6 +494,9 @@ def test_a_huge_coefficient_the_results_hold_is_solved(tmp_path):
     pytest.param(["canonical", "--f", "{tmp}/n2.form"],
                  {"n2.form": "(form (n 2) (q 1) (comp (1) (term 1 0 (z 1 0) (zbar 0 0))))"},
                  id="form-in-two-variables"),
+    pytest.param(["neumann", "--f", "{tmp}/empty.form"], {"empty.form": "\n"}, id="form-file-empty"),
+    pytest.param(["hodge", "--f", "{tmp}/open.form"], {"open.form": "(form (n 1) (q 1)"},
+                 id="form-file-unbalanced"),
     pytest.param(["--config", "{tmp}/missing.cfg", "identities"], {}, id="missing-config-file"),
     pytest.param(["--config", "{tmp}/run.cfg", "ellipticity"], {"run.cfg": "points = abc\n"},
                  id="config-value-not-int"),
@@ -549,12 +551,13 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, files):
 # as the library (and, for the kop grid's upper ends, the CLI's CAPS, and for
 # --trials, MAX_GREENS_TRIALS) defines them, the other flags at their defaults;
 # --fd-nodes tops out where the twice finer grid reaches MAX_FD_CELLS at s = 1.
-# bvp1d --s also runs one past the finite-difference limit, to an error line.
+# bvp1d --s also runs one past the finite-difference limit, and greens --s every
+# order the exact identity takes and one past it, to an error line.
 CAP_GRID = {
     "ellipticity": {"--s": (1, 3, MAX_CERTIFY_S), "--xi-min": (XI_RANGE[0], 1.0, XI_RANGE[1]),
                     "--xi-max": (XI_RANGE[0], 1.0, XI_RANGE[1]),
                     "--points": (1, 7, MAX_XI_SAMPLES)},
-    "greens": {"--s": (0, 1, MAX_GREENS_S), "--trials": (1, 3, MAX_GREENS_TRIALS)},
+    "greens": {"--s": tuple(range(MAX_S + 2)), "--trials": (1, 3, MAX_GREENS_TRIALS)},
     "blowup": {"--s": BLOWUP_S, "--eps-min": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]),
                "--eps-max": (BLOWUP_EPS[0], 2.0**-6, BLOWUP_EPS[1]),
                "--points": (2, 5, MAX_BLOWUP_POINTS),

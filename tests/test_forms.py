@@ -338,6 +338,10 @@ def test_form_text_rejects_garbage():
         form_from_text("(shape (n 1))")
     with pytest.raises(ValueError):
         form_from_text("(form (q 1) (comp (1) (term 1 0 (z 1) (zbar 0))))")
+    with pytest.raises(ValueError, match="empty"):
+        form_from_text(" \n")
+    with pytest.raises(ValueError, match=re.escape("( number 4 has no matching )")):
+        form_from_text("(form (n 1) (q 1) (comp (1) (term 1 0 (z 1) (zbar 0))")
 
 
 @pytest.mark.parametrize("text,node", [

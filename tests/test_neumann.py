@@ -34,7 +34,7 @@ from dbarn.neumann import (
     hodge_decompose,
     neumann_solve,
 )
-from dbarn.sobolev import MonomialBasis, SobolevGram, cached_gram, charge_exponents
+from dbarn.sobolev import MAX_S, MonomialBasis, SobolevGram, cached_gram, charge_exponents
 from oracles import (
     bareiss_gauss_jordan,
     exact_adjoint,
@@ -70,8 +70,8 @@ def test_dbar_matrix_entries(cx1):
 
 
 def test_degree_caps():
-    with pytest.raises(ValueError, match="0..2"):
-        DiscreteComplex.build(10, 3)
+    with pytest.raises(ValueError, match=f"0..{MAX_S}"):
+        DiscreteComplex.build(10, MAX_S + 1)
     with pytest.raises(ValueError, match="1..40"):
         DiscreteComplex.build(50, 1)
 
@@ -138,7 +138,7 @@ def test_canonical_zero(cx1):
     assert not sol.coeffs.any()
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 def test_canonical_dzbar_is_zbar(s):
     cx = DiscreteComplex.build(12, s)
     sol = canonical_exact(DZBAR, s=s, d=12)
@@ -168,7 +168,7 @@ def test_canonical_orthogonality_random(cx1, rng):
         assert sol.kernel_orthogonality < 1e-10 * cx1.form_gram.norm(f)
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 def test_canonical_at_the_degree_cap_needs_no_factorization(s, rng):
     cx = DiscreteComplex.build(40, s)
     with pytest.raises(ValueError, match="not numerically positive definite"):
@@ -178,6 +178,28 @@ def test_canonical_at_the_degree_cap_needs_no_factorization(s, rng):
         sol = canonical_exact(f, s=s, d=40)
         assert sol.residual < 1e-10
         assert sol.kernel_orthogonality < 1e-10
+
+
+@pytest.mark.parametrize("s", range(MAX_S + 1))
+def test_canonical_solution_does_not_depend_on_the_degree(s):
+    # problem (3, s) on the disc, in closed form: per charge the canonical solution is
+    # f / b projected off the one holomorphic monomial of its charge, and every basis
+    # that holds f holds both, so each degree d > deg f gives the same coefficients
+    rng = np.random.default_rng(1800 + s)
+    for _ in range(3):
+        terms = {}
+        for _ in range(4):
+            b = int(rng.integers(0, 4))
+            terms[((int(rng.integers(0, 4 - b)),), (b,))] = CRational(
+                Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 5))),
+                Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
+        f = FormPoly(1, 1, {(1,): CPolynomial(1, terms)})
+        solutions = set()
+        for d in range(f.component((1,)).degree() + 1, 41):
+            coeffs = canonical_exact(f, s=s, d=d).coeffs
+            solutions.add(frozenset((e, c) for e, c in zip(MonomialBasis(d).exponents, coeffs)
+                                    if c))
+        assert len(solutions) == 1, solutions
 
 
 @pytest.mark.parametrize("d", [24, 32, 40])
@@ -207,7 +229,7 @@ def relative_error(coeffs: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs - exact)) / np.max(np.abs(exact)))
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 def test_galerkin_solutions_match_exact_oracle(s, rng):
     # the float solves apply exact operators rounded once, so they stay at
     # rounding level where the Gram's float64 factorization has broken down
@@ -224,10 +246,11 @@ def test_galerkin_solutions_match_exact_oracle(s, rng):
         assert relative_error(a_star, exact_adjoint(d, s)) <= 1e-15
 
 
-def exact_poly(vec: np.ndarray, basis: MonomialBasis) -> CPolynomial:
-    """The polynomial whose coefficients are exactly the floats of vec."""
-    return CPolynomial(1, {((a,), (b,)): CRational(Fraction(c.real), Fraction(c.imag))
-                           for (a, b), c in zip(basis.exponents, vec)})
+def exact_form(vec: np.ndarray, basis: MonomialBasis) -> FormPoly:
+    """The (0,1)-form whose coefficients are exactly the floats of vec."""
+    return FormPoly(1, 1, {(1,): CPolynomial(1, {
+        ((a,), (b,)): CRational(Fraction(c.real), Fraction(c.imag))
+        for (a, b), c in zip(basis.exponents, vec)})})
 
 
 def test_float_solves_at_the_degree_cap_match_the_exact_path(rng):
@@ -235,12 +258,12 @@ def test_float_solves_at_the_degree_cap_match_the_exact_path(rng):
     # the exact per-charge solves of the same (dyadic) coefficients
     cx = DiscreteComplex.build(40, 1)
     f = rng.standard_normal(cx.form_basis.dim) + 1j * rng.standard_normal(cx.form_basis.dim)
-    exact = neumann_exact(exact_poly(f, cx.form_basis), s=1, d=40).coeffs
+    exact = neumann_exact(exact_form(f, cx.form_basis), s=1, d=40).coeffs
     assert relative_error(neumann_solve(f, cx=cx).coeffs, exact) <= 1e-15
-    exact = canonical_exact(exact_poly(f, cx.form_basis), s=1, d=40).coeffs
+    exact = canonical_exact(exact_form(f, cx.form_basis), s=1, d=40).coeffs
     assert relative_error(canonical_solve_dbar(f, cx=cx).coeffs, exact) <= 1e-15
     g = rng.standard_normal(cx.basis.dim) + 1j * rng.standard_normal(cx.basis.dim)
-    split = hodge_split(exact_poly(g, cx.basis), s=1, d=40)
+    split = hodge_split(exact_form(g, cx.basis), s=1, d=40)
     for part, exact in zip(hodge_decompose(g, cx=cx), (split.range_part, split.orthogonal_part)):
         assert relative_error(part, exact) <= 1e-15
     assert np.all(np.isfinite(adjoint(cx.dbar_matrix, cx.gram, cx.form_gram).data))
@@ -254,7 +277,7 @@ def test_neumann_zero(cx1):
     assert not sol.coeffs.any()
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 def test_neumann_reconstruction(s, rng):
     cx = DiscreteComplex.build(12, s)
     for _ in range(20):
@@ -266,8 +289,8 @@ def test_neumann_reconstruction(s, rng):
 
 
 def test_neumann_proxy_stable_across_degrees():
-    # the criterion-9 grid
-    for s in (0, 1, 2):
+    # the criterion-9 grid, at every s
+    for s in range(MAX_S + 1):
         vals = [neumann_operator_norm_proxy_exact(d, s) for d in (10, 20, 40)]
         assert max(vals) / min(vals) < 2.0
 
@@ -289,7 +312,7 @@ def cold_store():
     sobolev._GRAM_CACHE.clear()
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 @pytest.mark.parametrize("d", [1, 2, 12, 40])
 def test_store_positive_definiteness_matches_the_standalone_oracle(d, s):
     assert verify_gram_positive_definite_exact(d, s) == gram_positive_definite_exact(d, s)
@@ -473,7 +496,7 @@ def three_solve_proxy_exact(d: int, s: int) -> float:
     return float(best) ** 0.5
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(MAX_S + 1))
 def test_proxy_equals_three_solve_reference(s):
     for d in range(1, 15):
         assert neumann_operator_norm_proxy_exact(d, s) == three_solve_proxy_exact(d, s)
@@ -633,10 +656,6 @@ def test_hodge_split_certificate_matches_the_fraction_oracle(d, s):
     assert (split.range_norm, split.orthogonal_norm, split.orthogonality_defect) == \
         exact_hodge_certificate(split.range_part, split.orthogonal_part, d, s)
     assert split.orthogonality_defect <= 1e-12
-    of_component = hodge_split(phi.component((1,)), s=s, d=d)
-    for part, expect in zip((of_component.range_part, of_component.orthogonal_part),
-                            (split.range_part, split.orthogonal_part)):
-        assert np.array_equal(part, expect)
 
 
 def test_hodge_of_an_integer_vector_is_not_truncated(cx1):
@@ -660,14 +679,14 @@ def test_greens_random(rng):
     for _ in range(20):
         phi = random_cpolynomial(rng, 1, 4)
         psi = random_cpolynomial(rng, 1, 4)
-        for s in (0, 1, 2):
+        for s in range(MAX_S + 1):
             assert greens_identity_check(phi, psi, s).residual < 1e-10
 
 
 def test_greens_boundary_vanishes_for_flat_traces(rng):
     # phi = (1 - z zbar)^(s+1) * poly has a zero of order s+1 at the circle,
     # so every boundary term of order <= s dies.
-    for s in (0, 1, 2):
+    for s in range(MAX_S + 1):
         flat = CPolynomial.const(1, 1) - CPolynomial.z(1, 1) * CPolynomial.zbar(1, 1)
         phi = random_cpolynomial(rng, 1, 2)
         for _ in range(s + 1):
@@ -679,8 +698,8 @@ def test_greens_boundary_vanishes_for_flat_traces(rng):
 
 
 def test_greens_s_cap():
-    with pytest.raises(ValueError):
-        greens_identity_check(CPolynomial.const(1, 1), CPolynomial.const(1, 1), 3)
+    with pytest.raises(ValueError, match=f"0..{MAX_S}"):
+        greens_identity_check(CPolynomial.const(1, 1), CPolynomial.const(1, 1), MAX_S + 1)
 
 
 # -- domain condition and projection ---------------------------------------------------
