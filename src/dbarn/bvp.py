@@ -343,13 +343,13 @@ class DiscKOperator:
     angular Fourier mode; unit-response radial profiles are cached per |m|
     and gathered into one (n_r, M) stack, so a solve scales every column by
     its mode amplitude in a single broadcast.  The 3-point stencils do not depend
-    on m, so the banded radial operator is built once and each mode only
-    adds its diagonal term -m^2/r^2 - 1.
+    on m, so the banded radial operator is built once per grid
+    (``DiscGeometry.radial_laplacian_band``) and each mode only adds its
+    diagonal term -m^2/r^2 - 1.
     """
 
     geom: DiscGeometry
     mode_max: int | None = None
-    _band: np.ndarray = field(init=False, repr=False)
     _profiles: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     _stack: np.ndarray = field(init=False, repr=False)
     _stack_done: np.ndarray = field(init=False, repr=False)
@@ -361,28 +361,17 @@ class DiscKOperator:
         elif not 0 <= self.mode_max <= top:
             raise ValueError(f"mode_max={self.mode_max} is outside the range 0..{top} "
                              f"of a {self.geom.n_theta}-node angular grid")
-        # Banded storage for (l, u) = (2, 2): entry (i, j) sits at [2 + i - j, j].
-        # Interior rows carry omega'' + omega' / r; the last row is the Neumann
-        # datum at r = 1; the row at r = 0 depends on the mode.
-        r = self.geom.r
-        n = len(r)
-        band = np.zeros((5, n))
-        for i in range(1, n - 1):
-            w = fd_weights(r[i - 1:i + 2], r[i], 2)
-            band[[3, 2, 1], [i - 1, i, i + 1]] = w[2] + w[1] / r[i]
-        band[[4, 3, 2], [n - 3, n - 2, n - 1]] = fd_weights(r[n - 3:], 1.0, 1)[1]
-        self._band = band
         # unit profiles as (n_r, M) columns in the FFT's wavenumber order; a
         # column is solved when a mode first carries data, and the columns
         # of modes above mode_max stay zero
-        self._stack = np.zeros((n, self.geom.n_theta))
+        self._stack = np.zeros((self.geom.n_r, self.geom.n_theta))
         self._stack_done = np.abs(self.geom.theta_wavenumbers()) > self.mode_max
 
     # -- radial mode solves -----------------------------------------------------
 
     def _mode_matrix(self, m: int) -> np.ndarray:
         r = self.geom.r
-        ab = self._band.copy()
+        ab = self.geom.radial_laplacian_band().copy()
         ab[2, 1:-1] += -(m * m) / (r[1:-1] * r[1:-1]) - 1.0
         if m == 0:
             # Lap at the origin of a radial mode: 2 * omega'' - omega = 0

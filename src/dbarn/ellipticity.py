@@ -120,34 +120,37 @@ def _exp_poly_derivative(p: list, xi) -> list:
     return out
 
 
-def apply_symbol(s: int, ell: int, xi, p: Sequence) -> object:
-    """Value of the boundary operator on poly(x)*exp(-xi x) at x = 0."""
-    coeffs = symbol_closed_form(s, ell, xi)
-    derivs = [list(p)]
-    for _ in range(2 * s - 1):
-        derivs.append(_exp_poly_derivative(derivs[-1], xi))
-    total = 0
-    for power, c in enumerate(coeffs):
-        if c and derivs[power]:
-            total = total + c * derivs[power][0]
-    return total
+def _derivatives_at_zero(m: int, count: int, xi) -> list:
+    """d^k/dx^k of x^m exp(-xi x) at x = 0 for k = 0..count-1."""
+    poly = [0] * m + [1]
+    out = [poly[0]]
+    for _ in range(count - 1):
+        poly = _exp_poly_derivative(poly, xi)
+        out.append(poly[0])
+    return out
 
 
 def lopatinski_matrix(s: int, xi: float | Fraction) -> np.ndarray:
     """Matrix of the boundary operators on the bounded solution basis.
 
     Entry (ell, m) applies the ell-th boundary operator to x^m exp(-xi x)
-    and evaluates at the origin.  xi must be positive: the frozen symbol is
-    only elliptic away from zero frequency.
+    and evaluates at the origin: the operator's coefficients over derivative
+    powers 0..2s-1 (one row per ell) dotted with the derivatives of the basis
+    function at 0 (one column per m), each built once.  xi must be positive:
+    the frozen symbol is only elliptic away from zero frequency.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
+    rows = [symbol_closed_form(s, ell, xi) for ell in range(s)]
+    cols = [_derivatives_at_zero(m, 2 * s, xi) for m in range(s)]
     mat = np.zeros((s, s))
-    for ell in range(s):
-        for m in range(s):
-            basis_poly = [0] * (m + 1)
-            basis_poly[m] = 1
-            mat[ell, m] = float(apply_symbol(s, ell, xi, basis_poly))
+    for ell, row in enumerate(rows):
+        for m, col in enumerate(cols):
+            total = 0
+            for c, dv in zip(row, col):
+                if c:
+                    total = total + c * dv
+            mat[ell, m] = float(total)
     return mat
 
 

@@ -210,6 +210,24 @@ class DiscGeometry:
 
         return self._cached(f"dr{order}", build)
 
+    def radial_laplacian_band(self) -> np.ndarray:
+        """Read-only (2, 2) banded storage, entry (i, j) at [2 + i - j, j], of the
+        mode-independent rows of the disc K operator's radial problem: the interior rows
+        carry omega'' + omega' / r on 3-point stencils, the last row the Neumann datum
+        omega'(1); the row at r = 0 is left to the mode."""
+
+        def build() -> np.ndarray:
+            r, n = self.r, self.n_r
+            band = np.zeros((5, n))
+            for i in range(1, n - 1):
+                w = fd_weights(r[i - 1:i + 2], r[i], 2)
+                band[[3, 2, 1], [i - 1, i, i + 1]] = w[2] + w[1] / r[i]
+            band[[4, 3, 2], [n - 3, n - 2, n - 1]] = fd_weights(r[n - 3:], 1.0, 1)[1]
+            band.flags.writeable = False
+            return band
+
+        return self._cached("k_band", build)
+
     def radial_derivative_blocks(self, order: int) -> list[tuple[int, scipy.sparse.csr_matrix]]:
         """``radial_derivative_matrix`` as (first row, block) pairs of RADIAL_BLOCK_ROWS
         rows each: a block's product with a spectrum is a small temporary, and

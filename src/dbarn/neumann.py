@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
-from .exact import (LeastNormSolution, NeumannSolution, _check_size, _factor, _normal_solution,
-                    _setup, _substitute)
+from .exact import (MAX_NEUMANN_D, LeastNormSolution, NeumannSolution, _check_size, _factor,
+                    _normal_solution, _setup, _substitute)
 # the exact certificates, read here by callers of the Neumann machinery
 from .exact import neumann_operator_norm_proxy_exact, verify_gram_positive_definite_exact
 from .forms import CPolynomial, CRational, FormPoly, QC_ZERO
@@ -72,8 +72,15 @@ MAX_BLOWUP_POINTS = 32
 BLOWUP_DELTA = (2.0**-12, 1.0)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=MAX_NEUMANN_D)
 def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column index and weight b of the single entry in each row of A at degree d.
+    """Column index and weight b of the single entry in each row of A at degree d,
+    built once per degree and read-only.
 
     dbar(z^a zbar^b) = b z^a zbar^(b-1): form row (a, b-1) is hit only by the
     function column (a, b), with weight b, so A A^T = diag(b^2), and the
@@ -83,7 +90,20 @@ def _dbar_pattern(d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     deg = np.repeat(np.arange(d), np.arange(1, d + 1))
     rows = np.arange(len(deg))
-    return rows + deg + 2, rows - deg * (deg + 1) // 2 + 1
+    cols, b = rows + deg + 2, rows - deg * (deg + 1) // 2 + 1
+    _read_only(cols, b)
+    return cols, b
+
+
+@lru_cache(maxsize=MAX_NEUMANN_D)
+def _dense_dbar(d: int) -> np.ndarray:
+    """The dense dbar of degree d, shape (form_dim, dim), built on its first read and
+    shared read-only by every complex of the degree (5.6 MB at d = 40)."""
+    cols, b = _dbar_pattern(d)
+    mat = np.zeros((len(cols), (d + 1) * (d + 2) // 2))
+    mat[np.arange(len(cols)), cols] = b
+    _read_only(mat)
+    return mat
 
 
 @dataclass
@@ -106,14 +126,11 @@ class DiscreteComplex:
         return cls(s=s, basis=basis, form_basis=form_gram.basis, gram=gram,
                    form_gram=form_gram)
 
-    @cached_property
+    @property
     def dbar_matrix(self) -> np.ndarray:
-        """The dense dbar, shape (form_dim, dim), built on first read: the float
-        solves use ``_dbar_pattern`` instead."""
-        cols, b = _dbar_pattern(self.basis.degree)
-        mat = np.zeros((self.form_basis.dim, self.basis.dim))
-        mat[np.arange(self.form_basis.dim), cols] = b
-        return mat
+        """The dense dbar, shape (form_dim, dim), read-only and shared by every complex of
+        the degree (``_dense_dbar``): the float solves use ``_dbar_pattern`` instead."""
+        return _dense_dbar(self.basis.degree)
 
     def holomorphic_indices(self) -> np.ndarray:
         """Indices of z^k, k = 0..d: in the degree-graded basis z^k sits at k(k+1)/2."""
@@ -122,20 +139,21 @@ class DiscreteComplex:
 
 
 def adjoint(op_matrix: np.ndarray, gram_dom: SobolevGram, gram_cod: SobolevGram):
-    """The W^s adjoint A* of the disc dbar A, <A v, w>_s = <v, A* w>_s, as a CSR matrix of
-    correctly rounded entries (``_operators``).  Any operator or Gram pair other than a
-    ``DiscreteComplex``'s ``dbar_matrix``, ``gram`` and ``form_gram`` is a ValueError:
-    the operator is checked against ``_dbar_pattern``, the Grams against the cached ones."""
+    """The W^s adjoint A* of the disc dbar A, <A v, w>_s = <v, A* w>_s: the store's read-only
+    CSR matrix of correctly rounded entries (``_operators``), not a copy.  Any operator or
+    Gram pair other than a ``DiscreteComplex``'s ``dbar_matrix``, ``gram`` and
+    ``form_gram`` is a ValueError: an operator that is not the shared dense dbar is
+    checked against ``_dbar_pattern``, the Grams against the cached ones."""
     cx = DiscreteComplex.build(gram_dom.basis.degree, gram_dom.s)
     cols, b = _dbar_pattern(cx.basis.degree)
     op = np.asarray(op_matrix)
-    is_dbar = (op.shape == (cx.form_basis.dim, cx.basis.dim)
-               and np.count_nonzero(op) == len(cols)
-               and np.array_equal(op[np.arange(len(cols)), cols], b))
+    is_dbar = op is cx.dbar_matrix or (op.shape == (cx.form_basis.dim, cx.basis.dim)
+                                       and np.count_nonzero(op) == len(cols)
+                                       and np.array_equal(op[np.arange(len(cols)), cols], b))
     grams = ((gram_dom.matrix, cx.gram.matrix), (gram_cod.matrix, cx.form_gram.matrix))
     if not (is_dbar and all(a is g or np.array_equal(a, g) for a, g in grams)):
         raise ValueError("adjoint takes the dbar matrix and the Gram pair of a DiscreteComplex")
-    return _operators(cx)[2].copy()
+    return _operators(cx)[2]
 
 
 def canonical_solve_dbar(f: np.ndarray, s: int | None = None, d: int | None = None,
@@ -218,10 +236,10 @@ def hodge_decompose(f: np.ndarray, s: int | None = None, d: int | None = None,
 
 def _operators(cx: DiscreteComplex) -> tuple:
     """CSR (N, P, A*, C) = (G_form^-1 Y, G_form^-1 G[form rows], G_func^-1 A^T G_form, the
-    canonical map), kept on the degree-d Gram from the first call.  Per form charge, N
-    is the store's W, P and A* are substitutions against the factors of blocks kappa
-    and kappa - 1, and C is ``exact._ChargeSetup.least_norm`` column by column, every entry
-    rounded once, correctly."""
+    canonical map), kept read-only on the degree-d Gram from the first call.  Per form
+    charge, N is the store's W, P and A* are substitutions against the factors of blocks
+    kappa and kappa - 1, and C is ``exact._ChargeSetup.least_norm`` column by column, every
+    entry rounded once, correctly."""
     if cx.gram.operators is None:
         import scipy.sparse  # on first use, like the float Cholesky
         coo = ([], [], [], [])  # (row, column, value) entries of N, P, A* and C
@@ -252,8 +270,11 @@ def _operators(cx: DiscreteComplex) -> tuple:
                 coo[3].extend((func[0], j, -g / (p * b)) for j, g, b in zip(form, h, cs.weights))
         nf, nu = cx.form_basis.dim, cx.basis.dim
         shapes = [(nf, nf), (nf, nu), (nu, nf), (nu, nf)]
-        cx.gram.operators = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
-                                  for (i, j, v), shape in zip((zip(*t) for t in coo), shapes))
+        ops = tuple(scipy.sparse.csr_matrix((v, (i, j)), shape)
+                    for (i, j, v), shape in zip((zip(*t) for t in coo), shapes))
+        for op in ops:  # handed out as they are: a caller's write raises
+            _read_only(op.data, op.indices, op.indptr)
+        cx.gram.operators = ops
     return cx.gram.operators
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -65,8 +65,7 @@ class MonomialBasis:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        exps = [(d - b, b) for d in range(self.degree + 1) for b in range(d + 1)]
-        object.__setattr__(self, "exponents", tuple(exps))
+        object.__setattr__(self, "exponents", _graded_exponents(self.degree))
 
     @property
     def dim(self) -> int:
@@ -86,6 +85,14 @@ class MonomialBasis:
         for (a, b), c in p.terms.items():
             out[self.index_of(a[0], b[0])] = c.to_complex()
         return out
+
+
+@cache
+def _graded_exponents(degree: int) -> tuple[tuple[int, int], ...]:
+    """The exponents of ``MonomialBasis(degree)``, one tuple per degree that every basis of
+    the degree shares.  The solvers ask only for degrees within their caps
+    (``exact.MAX_NEUMANN_D``, ``MAX_DIM``): degrees 1..40 hold about 0.8 MB."""
+    return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
 
 
 def _add_pairing(sums: dict[int, list[int]], p: CPolynomial, q: CPolynomial,

@@ -36,6 +36,7 @@ from itertools import permutations
 import numpy as np
 
 from dbarn.bvp import DiscKOperator
+from dbarn.ellipticity import _exp_poly_derivative, symbol_closed_form
 from dbarn.forms import QC_I, QC_ZERO, BiExponent, CPolynomial, CRational, FormPoly
 from dbarn.geometry import SampledField, normal_derivative
 from dbarn.sobolev import MonomialBasis, charge_exponents, gram_block_rows
@@ -245,6 +246,16 @@ def gram_positive_definite_exact(d: int, s: int) -> bool:
 
 
 # -- exact Galerkin solutions ------------------------------------------------------
+
+
+def cauchy_minor(bs: list[int], charge: int) -> Fraction:
+    """det [1 / (b_i + b_j + charge + 1)], the leading minor of the s = 0 Gram block (over
+    pi) of the zbar exponents bs: a Cauchy matrix 1 / (x_i + x_j) with
+    x_i = b_i + (charge + 1) / 2, whose determinant is Cauchy's closed form
+    prod_{i<j} (x_j - x_i)^2 / prod_{i,j} (x_i + x_j), with no elimination."""
+    x = [b + Fraction(charge + 1, 2) for b in bs]
+    num = math.prod((xj - xi) ** 2 for j, xj in enumerate(x) for xi in x[:j])
+    return num / math.prod(xi + xj for xi in x for xj in x)
 
 
 def fraction_solve(mat: list[list[Fraction]], rhs: list[list[Fraction]]
@@ -477,3 +488,18 @@ def k_solve_per_mode(op: DiscKOperator, data: np.ndarray) -> np.ndarray:
             continue
         spectrum[:, idx] = hat[idx] * op.unit_profile(m) * geom.n_theta
     return np.fft.ifft(spectrum, axis=1)
+
+
+def apply_symbol(s: int, ell: int, xi, p: list) -> object:
+    """Value of the ell-th boundary operator on poly(x) exp(-xi x) at x = 0, one entry
+    at a time: the operator's coefficients and the 2s - 1 derivatives of the function
+    recomputed per call, the reference for ``lopatinski_matrix``'s shared rows and columns."""
+    coeffs = symbol_closed_form(s, ell, xi)
+    derivs = [list(p)]
+    for _ in range(2 * s - 1):
+        derivs.append(_exp_poly_derivative(derivs[-1], xi))
+    total = 0
+    for power, c in enumerate(coeffs):
+        if c and derivs[power]:
+            total = total + c * derivs[power][0]
+    return total

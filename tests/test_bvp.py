@@ -18,6 +18,7 @@ from dbarn.bvp import (
 )
 from dbarn.forms import CPolynomial, CRational, random_cpolynomial
 from dbarn.geometry import (
+    DiscGeometry,
     SampledField,
     default_geometry,
     fd_weights,
@@ -168,8 +169,9 @@ def test_k_shared_band_matches_per_row_assembly(geom):
         assert np.array_equal(op._mode_matrix(m), _mode_matrix_per_row(geom.r, m))
 
 
-def test_k_builds_stencils_once(geom_fine, monkeypatch):
+def test_k_builds_stencils_once(monkeypatch):
     import dbarn.bvp
+    import dbarn.geometry
 
     calls = []
     real = dbarn.bvp.fd_weights
@@ -178,11 +180,21 @@ def test_k_builds_stencils_once(geom_fine, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(dbarn.bvp, "fd_weights", counting)
-    op = DiscKOperator(geom_fine)
+    for module in (dbarn.bvp, dbarn.geometry):
+        monkeypatch.setattr(module, "fd_weights", counting)
+    fresh = DiscGeometry.build(radial_nodes=1200, angular_nodes=128, refine_depth=8)
+    op = DiscKOperator(fresh)
     for m in range(op.mode_max + 1):
         op.unit_profile(m)
-    assert len(calls) <= geom_fine.n_r + 2
+    assert len(calls) <= fresh.n_r + 2
+    # a second operator on the grid reads the grid's band: only its mode-0 row at
+    # r = 0 takes a stencil
+    calls.clear()
+    second = DiscKOperator(fresh)
+    assert calls == [] and not fresh.radial_laplacian_band().flags.writeable
+    for m in range(second.mode_max + 1):
+        second.unit_profile(m)
+    assert len(calls) == 1
 
 
 def test_k_zero_and_interior_support(geom_fine):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dbarn.ellipticity import (
+    MAX_CERTIFY_S,
     MAX_XI_SAMPLES,
-    apply_symbol,
     certify_trivial_kernel,
     half_line_moment,
     lopatinski_matrix,
@@ -16,6 +16,7 @@ from dbarn.ellipticity import (
     symbol_closed_form_exact,
     symbol_double_sum,
 )
+from oracles import apply_symbol
 
 
 def test_closed_form_examples():
@@ -75,6 +76,17 @@ def test_apply_symbol_exact_path():
     # exact rational evaluation agrees with the float matrix
     val = apply_symbol(2, 0, Fraction(1), [Fraction(0), Fraction(1)])
     assert val == Fraction(-1)
+
+
+@pytest.mark.parametrize("s", range(1, MAX_CERTIFY_S + 1))
+def test_lopatinski_matrix_is_the_per_entry_oracle(s, rng):
+    # the same products summed in the same order: equal to the last bit
+    xis = [*10.0 ** rng.uniform(-3, 3, size=4),
+           Fraction(int(rng.integers(1, 100)), int(rng.integers(1, 100)))]
+    for xi in xis:
+        expect = [[float(apply_symbol(s, ell, xi, [0] * m + [1])) for m in range(s)]
+                  for ell in range(s)]
+        assert lopatinski_matrix(s, xi).tolist() == expect
 
 
 def test_certify_examples():

@@ -1,10 +1,9 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dbarn import sobolev
+from dbarn import neumann, sobolev
 from dbarn.exact import (
     _factor,
     _integer_rows,
@@ -25,6 +24,7 @@ from dbarn.neumann import (
     MAX_BLOWUP_POINTS,
     DiscreteComplex,
     _kernel_cosine,
+    _operators,
     adjoint,
     blowup_experiment,
     canonical_solve_dbar,
@@ -37,6 +37,7 @@ from dbarn.neumann import (
 from dbarn.sobolev import MAX_S, MonomialBasis, SobolevGram, cached_gram, charge_exponents
 from oracles import (
     bareiss_gauss_jordan,
+    cauchy_minor,
     exact_adjoint,
     exact_galerkin_solutions,
     exact_hodge_certificate,
@@ -128,6 +129,44 @@ def test_adjoint_defining_property(rng):
             lhs = cx.form_gram.inner(cx.dbar_matrix @ v, w)
             rhs = cx.gram.inner(v, a_star @ w)
             assert abs(lhs - rhs) <= 1e-12 * cx.gram.norm(v) * cx.form_gram.norm(w)
+
+
+def test_the_dense_dbar_is_shared_per_degree_and_read_only():
+    cx = DiscreteComplex.build(9, 0)
+    assert DiscreteComplex.build(9, 2).dbar_matrix is cx.dbar_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        cx.dbar_matrix[0, 1] = 5.0
+
+
+def test_adjoint_hands_out_the_stores_read_only_operator():
+    cx = DiscreteComplex.build(8, 1)
+    a_star = adjoint(cx.dbar_matrix, cx.gram, cx.form_gram)
+    assert adjoint(cx.dbar_matrix, cx.gram, cx.form_gram) is a_star
+    # a copy of the dbar is not the shared one, and is accepted by its pattern
+    assert adjoint(cx.dbar_matrix.copy(), cx.gram, cx.form_gram) is a_star
+    for op in _operators(cx):
+        for part in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
+
+
+def test_a_warm_round_builds_no_per_degree_structure(rng):
+    per_degree = (sobolev._graded_exponents, neumann._dbar_pattern, neumann._dense_dbar)
+
+    def one_round():
+        for d in (4, 8, 12):
+            for s in (0, 1, 2):
+                cx = DiscreteComplex.build(d, s)
+                adjoint(cx.dbar_matrix, cx.gram, cx.form_gram)
+                f = rng.standard_normal(cx.form_basis.dim)
+                neumann_solve(f, s=s, d=d)
+                canonical_solve_dbar(f, s=s, d=d)
+                hodge_decompose(rng.standard_normal(cx.basis.dim), s=s, d=d)
+
+    one_round()
+    misses = [cached.cache_info().misses for cached in per_degree]
+    one_round()
+    assert [cached.cache_info().misses for cached in per_degree] == misses
 
 
 # -- canonical solutions --------------------------------------------------------------
@@ -319,15 +358,7 @@ def test_store_positive_definiteness_matches_the_standalone_oracle(d, s):
     assert verify_gram_positive_definite_exact(d, s)
 
 
-def cauchy_minor(bs: list[int], charge: int) -> Fraction:
-    """det [1 / (b_i + b_j + charge + 1)]: the s = 0 block of the zbar exponents bs is
-    the Cauchy matrix 1 / (x_i + y_j), x = b, y = b + charge + 1, whose determinant is
-    prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)."""
-    num = math.prod((bj - bi) ** 2 for j, bj in enumerate(bs) for bi in bs[:j])
-    return Fraction(num, math.prod(bi + bj + charge + 1 for bi in bs for bj in bs))
-
-
-@pytest.mark.parametrize("d", [12, 20])
+@pytest.mark.parametrize("d", [10, 12, 20, 30])
 def test_store_minors_are_the_cauchy_determinants(d):
     # the block rows are den G, so the k-th pivot of a block's factor is den^k times
     # G's k-th leading minor, on every block, the 1 x 1 blocks of charge +-d included
